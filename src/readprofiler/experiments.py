@@ -88,6 +88,7 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
+        self.dnc_params()  # rejects unknown or invalid DncParams fields
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":

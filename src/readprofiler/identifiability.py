@@ -26,6 +26,9 @@ SV_TOL = 1e-10          # relative singular-value cutoff for numerical rank
 FLAG_TOL = 1e-8         # row-norm cutoff for null-space membership flags
 COMPONENT_CAP = 5000    # columns per component before switching to Gram path
 DENSE_ELEMENT_CAP = 400_000_000
+# Cholesky full-rank certificate shift, as a multiple of the Gram eigenvalue
+# cutoff (see null_space_flags_from_gram)
+_CERT_MARGIN = 1e3
 
 
 @dataclass
@@ -110,13 +113,34 @@ def null_space_flags_from_gram(gram_augmented: np.ndarray, tol: float = SV_TOL,
     Squares the conditioning, so the effective zero-detection floor is coarser
     than the SVD path; adequate for screening blocks during reconstruction.
     Returns (flags, rank).
+
+    The rank rule counts eigenvalues of M at or below ``ev_max * rel_cutoff``,
+    ``rel_cutoff = max((tol * n) ** 2, 1e-13)``, as zero. A Cholesky
+    factorisation of M - delta*I with ``delta = _CERT_MARGIN * rel_cutoff *
+    ||M||_inf`` certifies full rank first. If it succeeds, M - delta*I + E is
+    positive semidefinite for a backward error ||E||_2 <= (n + 1) * eps *
+    trace(M) (Higham 2002, Thm 10.5), so lambda_min(M) >= delta - O(n * eps *
+    ||M||_2); the trace of A'A + ones is at most 2 * ||M||_2 for a
+    column-stochastic A. Since ||M||_inf >= ev_max, delta is ``_CERT_MARGIN``
+    times the cutoff or more, far above that error and the eigensolver's, so
+    the eigenvalue rule would find full rank too. Matrices the certificate
+    does not clear, or whose norm is zero or not finite, go to ``eigh``.
     """
     n = gram_augmented.shape[0]
+    rel_cutoff = max((tol * n) ** 2, 1e-13)
+    norm_inf = float(np.abs(gram_augmented).sum(axis=1).max()) if n else 0.0
+    if 0.0 < norm_inf < np.inf:
+        shifted = np.array(gram_augmented, dtype=float, order="F")
+        shifted.flat[::n + 1] -= _CERT_MARGIN * rel_cutoff * norm_inf
+        _, info = scipy.linalg.lapack.dpotrf(shifted, lower=True, clean=False,
+                                             overwrite_a=True)
+        if info == 0:
+            return np.ones(n, dtype=bool), n
     evals, evecs = scipy.linalg.eigh(gram_augmented)
     ev_max = max(float(evals[-1]), 0.0)
     if ev_max == 0.0:
         return np.zeros(n, dtype=bool), 0
-    cutoff = ev_max * max((tol * n) ** 2, 1e-13)
+    cutoff = ev_max * rel_cutoff
     null_mask = evals <= cutoff
     rank = n - int(np.count_nonzero(null_mask))
     null_basis = evecs[:, null_mask]

@@ -74,6 +74,7 @@ def nnls_from_gram(G, b, yty: float = 0.0, kkt_tol: float = DEFAULT_KKT_TOL,
     w = b.copy()  # negative gradient b - Gx
     iterations = 0
     rank_deficient = False
+    stalled = False
 
     while iterations < max_iter:
         candidates = np.where(~passive & (w > kkt_tol))[0]
@@ -82,6 +83,7 @@ def nnls_from_gram(G, b, yty: float = 0.0, kkt_tol: float = DEFAULT_KKT_TOL,
         iterations += 1
         passive[candidates[np.argmax(w[candidates])]] = True
 
+        x_feasible = x.copy()
         inner_guard = 0
         while True:
             P = np.where(passive)[0]
@@ -91,7 +93,8 @@ def nnls_from_gram(G, b, yty: float = 0.0, kkt_tol: float = DEFAULT_KKT_TOL,
                 break
             inner_guard += 1
             if inner_guard > n + 1:
-                break  # degenerate cycling; bail with the current feasible point
+                stalled = True  # degenerate cycling
+                break
             xp = x[P]
             neg = z <= 0
             denom = xp[neg] - z[neg]
@@ -105,6 +108,9 @@ def nnls_from_gram(G, b, yty: float = 0.0, kkt_tol: float = DEFAULT_KKT_TOL,
             if not passive.any():
                 z = np.zeros(0)
                 break
+        if stalled:
+            x = x_feasible  # the last feasible iterate; z may be infeasible
+            break
         x[:] = 0.0
         if passive.any():
             x[np.where(passive)[0]] = z
@@ -122,7 +128,7 @@ def nnls_from_gram(G, b, yty: float = 0.0, kkt_tol: float = DEFAULT_KKT_TOL,
         residual_norm=float(np.sqrt(max(0.0, residual_sq))),
         kkt_residual=kkt_residual,
         iterations=iterations,
-        converged=kkt_residual <= kkt_tol,
+        converged=kkt_residual <= kkt_tol and not stalled,
         rank_deficient=rank_deficient,
     )
 

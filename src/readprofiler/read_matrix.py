@@ -43,6 +43,8 @@ class FrequencyVector:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1:
             raise ValueError("frequency vector must be 1-D")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("frequency vector must be finite")
         if np.any(self.values < 0):
             raise ValueError("frequency vector must be nonnegative")
         if self.kind not in ("species", "dna"):

@@ -32,11 +32,6 @@ class DncParams:
     kkt_tol: float = DEFAULT_KKT_TOL
     schedule: list[int] | None = None     # explicit repetitions per iteration
     max_iterations: int = 30
-    collect_ambiguous: bool = True
-    # Literal reading of the ambiguity rule marks species that ARE pinned down
-    # by their block; the default marks species that are NOT, so genuinely
-    # ambiguous species survive to a larger joint solve.
-    literal_ambiguity_rule: bool = False
 
     def __post_init__(self):
         if self.block_size < 2:
@@ -53,8 +48,6 @@ class DncParams:
             "block_size": self.block_size, "tau": self.tau, "k_final": self.k_final,
             "seed": self.seed, "kkt_tol": self.kkt_tol, "schedule": self.schedule,
             "max_iterations": self.max_iterations,
-            "collect_ambiguous": self.collect_ambiguous,
-            "literal_ambiguity_rule": self.literal_ambiguity_rule,
         }
 
 
@@ -130,11 +123,12 @@ def partition_species(ids, block_size: int, seed: int, iteration: int,
     return [perm[i:i + block_size] for i in range(0, len(perm), block_size)]
 
 
-def _solve_block(G, b, yty, params: DncParams) -> NnlsSolution:
-    sol = nnls_from_gram(G, b, yty=yty, kkt_tol=params.kkt_tol)
+def _solve_block(G, b, params: DncParams) -> NnlsSolution:
+    # y'y is left at 0: it only enters the block residual_norm, which is unused
+    sol = nnls_from_gram(G, b, kkt_tol=params.kkt_tol)
     if not sol.converged:
         # one retry with a larger iteration budget before passing through
-        sol = nnls_from_gram(G, b, yty=yty, kkt_tol=params.kkt_tol,
+        sol = nnls_from_gram(G, b, kkt_tol=params.kkt_tol,
                              max_iter=20 * len(b) + 200)
     return sol
 
@@ -170,18 +164,18 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
                 sub = m[:, cols]
                 G = np.asarray((sub.T @ sub).todense())
                 b = np.asarray(sub.T @ y).ravel()
-                touched = np.unique(sub.indices)
-                y_blk = y[touched]
-                sol = _solve_block(G, b, float(y_blk @ y_blk), params)
+                sol = _solve_block(G, b, params)
                 blocks_solved += 1
                 if not sol.converged:
                     unconverged += 1
                     logger.warning("block solve did not converge (kkt=%.2e); "
                                    "passing survivors through", sol.kkt_residual)
                 local = sol.x >= params.tau
-                if params.collect_ambiguous and len(cols) > 1:
+                if len(cols) > 1:
+                    # species not pinned down by their block survive to a
+                    # larger joint solve
                     flags, _ = null_space_flags_from_gram(G + 1.0)
-                    local |= flags if params.literal_ambiguity_rule else ~flags
+                    local |= ~flags
                 marked[pos] |= local
         survivors = active[marked]
         iterations.append(IterationStats(iteration, len(active), len(survivors),

@@ -87,6 +87,14 @@ class TestErrorHandling:
         assert run("experiment", "error-vs-reads", "--config", str(cfg),
                    "--out-dir", str(tmp_path / "out")) == 2
 
+    @pytest.mark.parametrize("key", ["collect_ambiguous", "literal_ambiguity_rule"])
+    def test_removed_dnc_knob_rejected(self, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TestExperimentCommands.CFG,
+                                   "dnc": {"block_size": 8, key: True}}))
+        assert run("experiment", "error-vs-reads", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")) == 2
+
 
 class TestExperimentCommands:
     CFG = {

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from readprofiler.identifiability import (
     analyze,
@@ -122,6 +124,53 @@ class TestComponents:
         gram_flags, gram_rank = null_space_flags_from_gram(gram)
         np.testing.assert_array_equal(gram_flags, svd_flags)
         assert gram_rank == rank
+
+    def test_gram_full_rank_certificate_matches_eigh_rule(self, monkeypatch):
+        def eigh_reference(M, tol=1e-10, flag_tol=1e-8):
+            n = M.shape[0]
+            evals, evecs = scipy.linalg.eigh(M)
+            cutoff = max(evals[-1], 0.0) * max((tol * n) ** 2, 1e-13)
+            null_basis = evecs[:, evals <= cutoff]
+            rank = n - null_basis.shape[1]
+            if null_basis.shape[1] == 0:
+                return np.ones(n, dtype=bool), rank
+            return np.linalg.norm(null_basis, axis=1) <= flag_tol, rank
+
+        eigh_calls = []
+        real_eigh = scipy.linalg.eigh
+
+        def counting_eigh(M, *args, **kwargs):
+            eigh_calls.append(M.shape[0])
+            return real_eigh(M, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        rng = np.random.default_rng(5)
+        certified_full_rank = 0
+        for trial in range(120):
+            n = int(rng.integers(2, 40))
+            A = sp.random(int(rng.integers(n, 4 * n)), n, density=0.3,
+                          random_state=rng, format="csc")
+            A = A.toarray()
+            A[:, A.sum(axis=0) == 0] = 1.0
+            A /= A.sum(axis=0)
+            duplicated = trial % 3 == 0
+            if duplicated:
+                A[:, -1] = A[:, 0]
+            M = A.T @ A + 1.0
+            M *= 10.0 ** rng.uniform(-6, 0)
+            before = M.copy()
+            eigh_calls.clear()
+            flags, rank = null_space_flags_from_gram(M)
+            certified = not eigh_calls
+            ref_flags, ref_rank = eigh_reference(M)
+            np.testing.assert_array_equal(flags, ref_flags)
+            assert rank == ref_rank
+            np.testing.assert_array_equal(M, before)
+            if duplicated:
+                assert not certified and rank < n
+            else:
+                certified_full_rank += certified
+        assert certified_full_rank >= 1
 
 
 class TestCriticalReadLengthScan:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from readprofiler import nnls
 from readprofiler.nnls import nnls_from_gram, nnls_solve, normalize_simplex
 
 
@@ -123,6 +124,23 @@ class TestNnlsSolve:
         via_gram = nnls_from_gram(A.T @ A, A.T @ y, yty=float(y @ y))
         np.testing.assert_allclose(via_gram.x, direct.x, atol=1e-12)
         assert abs(via_gram.residual_norm - direct.residual_norm) <= 1e-10
+
+    def test_degenerate_exit_keeps_feasible_point(self, monkeypatch):
+        # a passive solve whose z always has a -inf entry never lets the step
+        # drop a column, so the inner loop reaches its degenerate-cycling exit
+        def never_positive(G, b, passive):
+            z = np.ones(int(passive.sum()))
+            z[-1] = -np.inf
+            return z, False
+
+        monkeypatch.setattr(nnls, "_solve_passive", never_positive)
+        rng = np.random.default_rng(8)
+        A = rng.random((10, 4))
+        with np.errstate(invalid="ignore"):  # the step computes 0 * inf
+            sol = nnls_from_gram(A.T @ A, A.T @ rng.random(10))
+        assert np.all(np.isfinite(sol.x))
+        assert np.all(sol.x >= 0)
+        assert not sol.converged
 
 
 class TestNormalizeSimplex:

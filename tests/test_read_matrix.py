@@ -186,6 +186,11 @@ class TestFrequencyConversions:
         with pytest.raises(ValueError):
             reweight_to_dna(x, [5, 5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FrequencyVector([0.5, bad], "species")
+
 
 class TestExpectedReadDistribution:
     def test_basis_vector_returns_column(self):
