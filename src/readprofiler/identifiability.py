@@ -95,9 +95,15 @@ def null_space_flags(dense_augmented: np.ndarray, tol: float = SV_TOL,
 
     Returns (flags, rank, null_dim); a column is flagged identifiable when its
     row of the orthonormal null-space basis has norm <= flag_tol.
+
+    A tall or square block (m >= n) gets the thin SVD: it returns the same n
+    singular values and all n right singular vectors, so ``vt[rank:]`` is the
+    same null-space basis as with the full SVD, and only U shrinks from m x m
+    to m x n. A wide block keeps the full SVD, because its null space needs
+    the n - m rows of ``vt`` that the thin SVD leaves out.
     """
-    n = dense_augmented.shape[1]
-    _, sv, vt = scipy.linalg.svd(dense_augmented, full_matrices=True)
+    m, n = dense_augmented.shape
+    _, sv, vt = scipy.linalg.svd(dense_augmented, full_matrices=m < n)
     rank = numerical_rank(sv, dense_augmented.shape, tol)
     null_basis = vt[rank:]  # (n - rank) x n
     if null_basis.shape[0] == 0:
@@ -151,20 +157,23 @@ def null_space_flags_from_gram(gram_augmented: np.ndarray, tol: float = SV_TOL,
 
 
 def partially_identifiable(A: ReadSamplingMatrix, tol: float = SV_TOL,
-                           flag_tol: float = FLAG_TOL,
-                           component_cap: int = COMPONENT_CAP) -> np.ndarray:
+                           flag_tol: float = FLAG_TOL) -> np.ndarray:
     """Per-species identifiability flags, computed per connected component.
 
     The ones row is appended within each component's subproblem: any global
     null vector restricted to a component is a null vector of that component's
     augmented matrix, so flags agree with the whole-matrix computation.
     """
-    return analyze(A, tol=tol, flag_tol=flag_tol, component_cap=component_cap).partial_flags
+    return analyze(A, tol=tol, flag_tol=flag_tol).partial_flags
 
 
-def analyze(A: ReadSamplingMatrix, tol: float = SV_TOL, flag_tol: float = FLAG_TOL,
-            component_cap: int = COMPONENT_CAP) -> IdentifiabilityReport:
-    """Full report: rank, per-species flags, null-space dimension."""
+def analyze(A: ReadSamplingMatrix, tol: float = SV_TOL,
+            flag_tol: float = FLAG_TOL) -> IdentifiabilityReport:
+    """Full report: rank, per-species flags, null-space dimension.
+
+    Components with more than ``COMPONENT_CAP`` columns take the Gram path,
+    and ``method`` then ends in ``+gram_approx``.
+    """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     n = A.n_species
@@ -173,7 +182,7 @@ def analyze(A: ReadSamplingMatrix, tol: float = SV_TOL, flag_tol: float = FLAG_T
     approximate = False
     groups = decompose_components(A)
     for cols in groups:
-        if len(cols) <= component_cap:
+        if len(cols) <= COMPONENT_CAP:
             dense = _augmented_dense(A.matrix, cols)
             comp_flags, comp_rank, _ = null_space_flags(dense, tol, flag_tol)
         else:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .read_matrix import FrequencyVector, ReadSamplingMatrix, reweight_to_dna
-from .sequence_db import SequenceDatabase, lex_decode, lex_encode
+from .sequence_db import MAX_CODE_LENGTH, SequenceDatabase, lex_decode, lex_encode
 
 logger = logging.getLogger(__name__)
 
@@ -89,6 +89,7 @@ class ReadCounts:
     total: int
     seed: int | None = None
     skipped_short: int = 0
+    skipped_invalid: int = 0
 
     def __post_init__(self):
         if self.total < 1:
@@ -125,31 +126,69 @@ class ReadCounts:
         return cls(counts, header["read_length"], header["total"], header.get("seed"))
 
 
+def _fastq_sequences(lines: list[str], path) -> list[str]:
+    """Sequence lines of a four-line-per-record FASTQ file.
+
+    Each record is an '@' header, a sequence, a '+' line and a quality line as
+    long as the sequence; any other shape raises ValueError naming the
+    1-based record number.
+    """
+    seqs = []
+    for rec, start in enumerate(range(0, len(lines), 4), start=1):
+        record = lines[start:start + 4]
+        if len(record) < 4:
+            raise ValueError(f"{path}: FASTQ record {rec} is truncated "
+                             f"({len(record)} of 4 lines)")
+        header, seq, plus, qual = (ln.strip() for ln in record)
+        if not header.startswith("@"):
+            raise ValueError(f"{path}: FASTQ record {rec} has no '@' header line")
+        if not plus.startswith("+"):
+            raise ValueError(f"{path}: FASTQ record {rec} has no '+' line")
+        if len(qual) != len(seq):
+            raise ValueError(f"{path}: FASTQ record {rec} has {len(seq)} bases "
+                             f"but {len(qual)} quality values")
+        seqs.append(seq)
+    return seqs
+
+
 def read_counts_from_reads(path, read_length: int) -> ReadCounts:
     """Encode raw reads (plain one-per-line or FASTQ) by their first L bases.
 
-    Reads shorter than L are skipped and counted in ``skipped_short``.
+    Reads shorter than L are skipped and counted in ``skipped_short``; reads
+    whose first L bases hold a character outside ACGT (such as N) are skipped
+    and counted in ``skipped_invalid``. A malformed FASTQ record raises
+    ValueError.
     """
-    lines = Path(path).read_text().splitlines()
+    if not 1 <= read_length <= MAX_CODE_LENGTH:
+        raise ValueError(f"read length must be in [1, {MAX_CODE_LENGTH}], got {read_length}")
+    lines = Path(path).read_text().rstrip().splitlines()
     if lines and lines[0].startswith("@"):
-        reads = lines[1::4]  # FASTQ: header, sequence, '+', quality
+        reads = _fastq_sequences(lines, path)
     else:
         reads = [ln for ln in lines if ln.strip()]
     counts: dict[int, int] = {}
-    skipped = 0
+    short = invalid = 0
     for read in reads:
         read = read.strip().upper()
         if len(read) < read_length:
-            skipped += 1
+            short += 1
             continue
-        code = lex_encode(read[:read_length])
+        try:
+            code = lex_encode(read[:read_length])
+        except ValueError:  # the length is in range, so a base outside ACGT
+            invalid += 1
+            continue
         counts[code] = counts.get(code, 0) + 1
-    if skipped:
-        logger.warning("skipped %d reads shorter than %d", skipped, read_length)
+    if short:
+        logger.warning("skipped %d reads shorter than %d", short, read_length)
+    if invalid:
+        logger.warning("skipped %d reads with a base outside ACGT in their first %d",
+                       invalid, read_length)
     total = sum(counts.values())
     if total == 0:
         raise ValueError(f"{path}: no usable reads of length >= {read_length}")
-    return ReadCounts(counts, read_length, total, skipped_short=skipped)
+    return ReadCounts(counts, read_length, total, skipped_short=short,
+                      skipped_invalid=invalid)
 
 
 def simulate_reads(A: ReadSamplingMatrix, x: FrequencyVector, n_reads: int,

@@ -6,6 +6,7 @@ import gzip
 import hashlib
 import json
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -14,6 +15,8 @@ logger = logging.getLogger(__name__)
 
 ALPHABET = "ACGT"
 _DIGIT = {"A": 0, "C": 1, "G": 2, "T": 3}
+_TO_DIGITS = str.maketrans("ACGT", "0123")
+_NON_ACGT = re.compile("[^ACGT]")
 
 #: Largest supported k-mer length. Codes are arbitrary-precision integers so
 #: there is no overflow; the cap only keeps per-code memory bounded.
@@ -37,13 +40,11 @@ def lex_encode(s: str) -> int:
         raise ValueError("cannot encode an empty string")
     if len(s) > MAX_CODE_LENGTH:
         raise ValueError(f"k-mer length {len(s)} exceeds cap {MAX_CODE_LENGTH}")
-    code = 0
-    for ch in s:
-        try:
-            code = code * 4 + _DIGIT[ch]
-        except KeyError:
-            raise ValueError(f"invalid character {ch!r} (expected one of ACGT)")
-    return code + 1
+    bad = _NON_ACGT.search(s)
+    if bad:
+        raise ValueError(f"invalid character {bad.group()!r} (expected one of ACGT)")
+    # s holds only ACGT, so the translation holds only the base-4 digits 0-3
+    return int(s.translate(_TO_DIGITS), 4) + 1
 
 
 def lex_decode(code: int, length: int) -> str:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from readprofiler.cli import main
+from readprofiler.sequence_db import parse_fasta
 
 
 def run(*argv):
@@ -57,6 +58,28 @@ class TestPipelineCommands:
         assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
                    "--reads", str(raw), "--raw-reads", "--out", str(est)) == 0
         assert est.exists()
+
+    @pytest.mark.parametrize("fastq", [False, True])
+    def test_reconstruct_raw_reads_with_n(self, pipeline_dir, tmp_path, fastq):
+        seq = parse_fasta(pipeline_dir / "db.fasta").records[0].sequence
+        reads = [seq[:10], seq[5:15], seq[:4] + "N" + seq[5:10]]
+        raw = tmp_path / "raw"
+        if fastq:
+            raw.write_text("".join(f"@r{i}\n{r}\n+\n{'I' * len(r)}\n"
+                                   for i, r in enumerate(reads)))
+        else:
+            raw.write_text("\n".join(reads) + "\n")
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(raw), "--raw-reads", "--out", str(est)) == 0
+        assert est.exists()
+
+    def test_reconstruct_malformed_fastq_exits_2(self, pipeline_dir, tmp_path):
+        raw = tmp_path / "raw.fastq"
+        raw.write_text("@r1\nACGTACGTAC\n+\nIIIIIIIIII\n@r2\nACGTACGTAC\n+\nIII\n")
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(raw), "--raw-reads",
+                   "--out", str(tmp_path / "est.json")) == 2
 
     def test_identifiability_outputs(self, pipeline_dir):
         out = pipeline_dir / "ident.json"

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from readprofiler import identifiability
 from readprofiler.identifiability import (
     analyze,
     critical_read_length_scan,
@@ -125,6 +126,28 @@ class TestComponents:
         np.testing.assert_array_equal(gram_flags, svd_flags)
         assert gram_rank == rank
 
+    def test_component_cap_switches_to_gram_path(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        dbs = [db_of("AACA", "ACAA", "GGGG", "TTAG")]
+        for _ in range(4):
+            seqs = set()
+            while len(seqs) < 20:
+                seqs.add("".join("ACGT"[d] for d in rng.integers(0, 4, 5)))
+            dbs.append(db_of(*sorted(seqs)))
+        mixed = 0
+        for db, read_len in ((db, L) for db in dbs for L in (2, 3)):
+            A = build_matrix(db, read_len)
+            svd = analyze(A)
+            monkeypatch.setattr(identifiability, "COMPONENT_CAP", 1)
+            gram = analyze(A)
+            monkeypatch.undo()
+            assert not svd.method.endswith("+gram_approx")
+            assert gram.method.endswith("+gram_approx")
+            np.testing.assert_array_equal(gram.partial_flags, svd.partial_flags)
+            assert gram.rank == svd.rank
+            mixed += 0 < svd.partial_flags.sum() < len(db)
+        assert mixed >= 3
+
     def test_gram_full_rank_certificate_matches_eigh_rule(self, monkeypatch):
         def eigh_reference(M, tol=1e-10, flag_tol=1e-8):
             n = M.shape[0]
@@ -171,6 +194,47 @@ class TestComponents:
             else:
                 certified_full_rank += certified
         assert certified_full_rank >= 1
+
+
+class TestNullSpaceFlagsKernel:
+    @staticmethod
+    def full_svd_reference(dense, tol=1e-10, flag_tol=1e-8):
+        """Flags, rank and null dimension from the full SVD (an m x m U)."""
+        m, n = dense.shape
+        _, sv, vt = scipy.linalg.svd(dense, full_matrices=True)
+        rank = int(np.count_nonzero(sv > tol * sv[0] * max(m, n)))
+        null_basis = vt[rank:]
+        if null_basis.shape[0] == 0:
+            return np.ones(n, dtype=bool), rank, 0
+        return np.linalg.norm(null_basis, axis=0) <= flag_tol, rank, n - rank
+
+    def test_matches_full_svd_oracle(self):
+        rng = np.random.default_rng(11)
+        seen = {"tall": 0, "square": 0, "wide": 0, "deficient": 0, "mixed": 0}
+        for trial in range(150):
+            n = int(rng.integers(2, 30))
+            shape = ("tall", "square", "wide")[trial % 3]
+            m = {"tall": int(round(n * rng.uniform(4, 6))), "square": n,
+                 "wide": int(rng.integers(1, n))}[shape]
+            kind = (trial // 3) % 3
+            if kind == 0:    # sparse, full rank where the shape allows
+                A = sp.random(m - 1, n, density=0.3, random_state=rng).toarray()
+            elif kind == 1:  # low-rank product
+                r = int(rng.integers(1, max(2, min(m, n) // 2 + 1)))
+                A = rng.random((m - 1, r)) @ rng.random((r, n))
+            else:            # duplicated columns
+                A = sp.random(m - 1, n, density=0.4, random_state=rng).toarray()
+                dup = rng.choice(n, size=2, replace=False)
+                A[:, dup[1]] = A[:, dup[0]]
+            dense = np.vstack([A, np.ones((1, n))])
+            flags, rank, null_dim = null_space_flags(dense)
+            ref_flags, ref_rank, ref_null_dim = self.full_svd_reference(dense)
+            np.testing.assert_array_equal(flags, ref_flags)
+            assert (rank, null_dim) == (ref_rank, ref_null_dim)
+            seen[shape] += 1
+            seen["deficient"] += null_dim > 0
+            seen["mixed"] += 0 < flags.sum() < n
+        assert min(seen.values()) >= 5, seen
 
 
 class TestCriticalReadLengthScan:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,37 @@ class TestReadCountsIO:
         rc = read_counts_from_reads(path, 3)
         assert rc.total == 2
         assert rc.counts == {lex_encode("ACG"): 1, lex_encode("GGG"): 1}
+
+    @pytest.mark.parametrize("fastq", [False, True])
+    def test_non_acgt_reads_skipped_and_counted(self, tmp_path, fastq):
+        reads = ["ACGTAC", "ACNTAC", "ACGTTT", "AC", "ACGTNN"]
+        path = tmp_path / "reads"
+        if fastq:
+            path.write_text("".join(f"@r{i}\n{r}\n+\n{'I' * len(r)}\n"
+                                    for i, r in enumerate(reads)))
+        else:
+            path.write_text("\n".join(reads) + "\n")
+        rc = read_counts_from_reads(path, 4)
+        assert rc.total == 3
+        assert rc.counts == {lex_encode("ACGT"): 3}
+        assert rc.skipped_invalid == 1
+        assert rc.skipped_short == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("@r1\nACGT\n+\nIIII\n@r2\nACGT\nIIII\n@r3\nACGT\n+\nIIII\n",
+         "record 2 has no '+' line"),
+        ("@r1\nACGT\n+\nIIII\n@r2\nACGT\n+\nIII\n",
+         "record 2 has 4 bases but 3 quality values"),
+        ("@r1\nACGT\n+\nIIII\n@r2\nACGT\n+\n",
+         "record 2 is truncated"),
+        ("@r1\nACGT\n+\nIIII\nr2\nACGT\n+\nIIII\n",
+         "record 2 has no '@' header"),
+    ], ids=["missing_plus", "quality_length", "truncated", "missing_at"])
+    def test_malformed_fastq_rejected(self, tmp_path, text, message):
+        path = tmp_path / "reads.fastq"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_counts_from_reads(path, 3)
 
     def test_mixture_spec_roundtrip(self, tmp_path):
         mix = sample_power_law_mixture(100, 5, 1.0, seed=12)

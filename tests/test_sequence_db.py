@@ -1,9 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from readprofiler.sequence_db import (
+    MAX_CODE_LENGTH,
     AmbiguousBaseError,
     FastaError,
     SequenceDatabase,
@@ -55,9 +57,22 @@ class TestLexCodes:
     def test_roundtrip_property(self, s):
         assert lex_decode(lex_encode(s), len(s)) == s
 
+    def test_matches_digit_loop_reference(self):
+        rng = np.random.default_rng(4)
+        for L in [1, 2, 31, 32, 33, 150, MAX_CODE_LENGTH, *rng.integers(1, 513, 20)]:
+            s = "".join("ACGT"[d] for d in rng.integers(0, 4, L))
+            code = 0
+            for ch in s:
+                code = code * 4 + "ACGT".index(ch)
+            assert lex_encode(s) == code + 1
+
     def test_invalid_character(self):
         with pytest.raises(ValueError):
             lex_encode("ACGN")
+        # characters int(..., 4) would accept must be rejected as well
+        for s in ["AC1G", "A_CG", "+ACG", " ACG", "ACG\n", "acgt"]:
+            with pytest.raises(ValueError, match="invalid character"):
+                lex_encode(s)
 
     def test_out_of_range_code(self):
         with pytest.raises(ValueError):
