@@ -67,18 +67,29 @@ def l2_error_bound(n_reads: int, delta: float, lambda_min: float,
     return (2.0 + math.sqrt(math.log(1.0 / delta))) / math.sqrt(n_reads * lambda_min)
 
 
-def gram_lambda_min(A: ReadSamplingMatrix, cap: int = GRAM_CAP) -> float:
+def gram_lambda_min(A: ReadSamplingMatrix) -> float:
     """Smallest eigenvalue of A'A, taken per connected component (the global
-    minimum is the minimum over components)."""
-    if A.n_species > cap:
-        raise ValueError(f"N={A.n_species} exceeds the dense Gram cap {cap}")
-    lam = math.inf
-    for cols in decompose_components(A):
-        sub = A.matrix[:, cols]
-        gram = np.asarray((sub.T @ sub).todense())
-        evals = scipy.linalg.eigvalsh(gram)
-        lam = min(lam, float(evals[0]))
-    return max(lam, 0.0)
+    minimum is the minimum over components).
+
+    A'A is formed once, as one sparse product. A singleton component's
+    eigenvalue is its diagonal entry, read for all of them in one step
+    (``eigvalsh`` of a 1 x 1 matrix returns that entry exactly); each larger
+    component runs ``eigvalsh`` on its dense block of the same product.
+    Components share no rows, so every block holds the same sums, in the same
+    order, as the product of that component's columns alone. Raises
+    ValueError when the largest multi-column component exceeds ``GRAM_CAP``
+    columns.
+    """
+    groups = decompose_components(A)
+    largest = max((len(cols) for cols in groups if len(cols) > 1), default=0)
+    if largest > GRAM_CAP:
+        raise ValueError(f"component of {largest} species exceeds the dense Gram cap {GRAM_CAP}")
+    gram = A.matrix.T @ A.matrix
+    lams = gram.diagonal()[np.array([cols[0] for cols in groups], dtype=np.intp)]
+    for i, cols in enumerate(groups):
+        if len(cols) > 1:
+            lams[i] = scipy.linalg.eigvalsh(gram[cols][:, cols].toarray())[0]
+    return max(min(lams.tolist(), default=math.inf), 0.0)
 
 
 @dataclass

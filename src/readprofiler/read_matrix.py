@@ -76,6 +76,21 @@ class ReadSamplingMatrix:
         col_lengths: np.ndarray,
         tail_convention: str = TAIL_CONVENTION,
     ):
+        self._set_fields(read_length, matrix, row_codes, col_lengths, tail_convention)
+        self.code_to_row = {code: i for i, code in enumerate(self.row_codes)}
+
+    @classmethod
+    def _from_row_index(cls, read_length: int, matrix: sp.csc_matrix,
+                        code_to_row: dict[int, int], col_lengths: np.ndarray
+                        ) -> "ReadSamplingMatrix":
+        """Adopt ``code_to_row``, whose keys are the row codes in row order
+        (as :func:`build_matrix` fills it), instead of rebuilding the index."""
+        out = cls.__new__(cls)
+        out._set_fields(read_length, matrix, code_to_row, col_lengths, TAIL_CONVENTION)
+        out.code_to_row = code_to_row
+        return out
+
+    def _set_fields(self, read_length, matrix, row_codes, col_lengths, tail_convention):
         if matrix.shape[0] != len(row_codes):
             raise ValueError("row_codes length disagrees with matrix rows")
         if matrix.shape[1] != len(col_lengths):
@@ -86,7 +101,6 @@ class ReadSamplingMatrix:
         self.row_codes = list(row_codes)
         self.col_lengths = np.asarray(col_lengths, dtype=np.int64)
         self.tail_convention = tail_convention
-        self.code_to_row = {code: i for i, code in enumerate(self.row_codes)}
 
     @property
     def n_rows(self) -> int:
@@ -176,8 +190,7 @@ def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
     if len(db) == 0:
         raise ValueError("cannot build a matrix from an empty database")
 
-    code_to_row: dict[int, int] = {}
-    row_codes: list[int] = []
+    code_to_row: dict[int, int] = {}     # insertion order is row order
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
@@ -185,9 +198,7 @@ def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
     def row_id(code: int) -> int:
         rid = code_to_row.get(code)
         if rid is None:
-            rid = len(row_codes)
-            code_to_row[code] = rid
-            row_codes.append(code)
+            rid = code_to_row[code] = len(code_to_row)
         return rid
 
     for j, rec in enumerate(db.records):
@@ -217,9 +228,10 @@ def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
 
     matrix = sp.csc_matrix(
         (np.array(vals), (np.array(rows), np.array(cols))),
-        shape=(len(row_codes), len(db)),
+        shape=(len(code_to_row), len(db)),
     )
-    out = ReadSamplingMatrix(read_length, matrix, row_codes, np.array(db.lengths))
+    out = ReadSamplingMatrix._from_row_index(read_length, matrix, code_to_row,
+                                             np.array(db.lengths))
     bad = np.abs(out.column_sums() - 1.0) > COLUMN_SUM_TOL
     if np.any(bad):
         raise AssertionError(f"column sums off by more than {COLUMN_SUM_TOL}: {np.where(bad)[0]}")

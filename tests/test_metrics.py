@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from readprofiler import metrics
+from readprofiler.identifiability import decompose_components
 from readprofiler.metrics import (
     evaluate,
     gram_lambda_min,
@@ -145,6 +147,103 @@ class TestLambdaMin:
             assert lam >= 0.0
             sv = scipy.linalg.svdvals(A.matrix.toarray())
             assert lam == pytest.approx(sv[-1] ** 2, abs=1e-10)
+
+
+def lambda_min_per_component_reference(A):
+    """The per-component loop gram_lambda_min ran before it formed A'A once:
+    a column slice and a sparse product per component, then a dense eigvalsh."""
+    lam = math.inf
+    for cols in decompose_components(A):
+        sub = A.matrix[:, cols]
+        gram = np.asarray((sub.T @ sub).todense())
+        evals = scipy.linalg.eigvalsh(gram)
+        lam = min(lam, float(evals[0]))
+    return max(lam, 0.0)
+
+
+def random_seq(rng, length):
+    return "".join("ACGT"[d] for d in rng.integers(0, 4, length))
+
+
+def random_db(rng, n, lo, hi):
+    seqs = set()
+    while len(seqs) < n:
+        seqs.add(random_seq(rng, int(rng.integers(lo, hi + 1))))
+    return db_of(*sorted(seqs))
+
+
+def rotations_db(rng):
+    """Rotations of one cyclic word, each closed with its first L-1 bases,
+    share one window multiset: their columns are equal, so lambda_min is 0."""
+    L = int(rng.integers(2, 5))
+    while True:
+        word = random_seq(rng, int(rng.integers(5, 11)))
+        if all(word[r:] + word[:r] != word for r in range(1, len(word))):
+            break
+    shifts = rng.choice(np.arange(1, len(word)), size=int(rng.integers(1, 3)), replace=False)
+    rotations = [word[r:] + word[:r] for r in (0, *shifts)]
+    seqs = {rot + rot[:L - 1] for rot in rotations}
+    while len(seqs) < len(rotations) + 3:
+        seqs.add(random_seq(rng, int(rng.integers(L, 10))))
+    return db_of(*sorted(seqs)), L
+
+
+def lambda_oracle_instances():
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):                          # every component a singleton
+        L = int(rng.integers(12, 17))
+        yield "singletons", random_db(rng, int(rng.integers(3, 31)), 20, 60), L
+    for _ in range(40):                          # multi-column components
+        yield "multi", random_db(rng, int(rng.integers(4, 16)), 6, 12), int(rng.integers(2, 5))
+    for _ in range(40):                          # duplicated-window columns
+        db, L = rotations_db(rng)
+        yield "duplicated", db, L
+    for _ in range(40):                          # uniform-tail columns
+        L = int(rng.integers(4, 8))
+        yield "short", random_db(rng, int(rng.integers(3, 12)), L - 3, L + 4), L
+    yield "many_singletons", random_db(rng, 600, 40, 40), 20
+
+
+class TestLambdaMinOracle:
+    def test_equals_per_component_loop(self):
+        seen = dict.fromkeys(("singletons", "multi", "duplicated", "short"), 0)
+        count = 0
+        for kind, db, L in lambda_oracle_instances():
+            A = build_matrix(db, L)
+            sizes = [len(cols) for cols in decompose_components(A)]
+            ref = lambda_min_per_component_reference(A)
+            assert gram_lambda_min(A) == ref, (kind, count)
+            count += 1
+            if kind == "singletons":
+                seen[kind] += max(sizes) == 1
+            elif kind == "multi":
+                seen[kind] += max(sizes) > 1
+            elif kind == "duplicated":
+                seen[kind] += ref <= 1e-12
+            elif kind == "short":
+                seen[kind] += any(n < L for n in db.lengths)
+            else:
+                assert sizes.count(1) >= 500
+        assert count >= 150
+        assert min(seen.values()) >= 30, seen
+
+    def test_cap_applies_to_largest_multi_column_component(self, monkeypatch):
+        db = db_of("AACA", "ACAA", "CAAC", "GGTT", "TTTT", "CGCG")
+        A = build_matrix(db, 2)
+        sizes = [len(cols) for cols in decompose_components(A)]
+        largest = max(sizes)
+        assert 1 < largest < A.n_species and sizes.count(1) >= 1
+        ref = lambda_min_per_component_reference(A)
+        monkeypatch.setattr(metrics, "GRAM_CAP", largest)
+        assert gram_lambda_min(A) == ref
+        monkeypatch.setattr(metrics, "GRAM_CAP", largest - 1)
+        with pytest.raises(ValueError, match=f"cap {largest - 1}"):
+            gram_lambda_min(A)
+
+    def test_cap_ignores_singleton_components(self, monkeypatch):
+        A = build_matrix(db_of("AAAA", "GGGG", "CCCC", "TTTT"), 2)
+        monkeypatch.setattr(metrics, "GRAM_CAP", 1)
+        assert gram_lambda_min(A) == lambda_min_per_component_reference(A) == 1.0
 
 
 class TestProjectionContraction:

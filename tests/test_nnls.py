@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from readprofiler import nnls
 from readprofiler.nnls import nnls_from_gram, nnls_solve, normalize_simplex
@@ -141,6 +142,39 @@ class TestNnlsSolve:
         assert np.all(np.isfinite(sol.x))
         assert np.all(sol.x >= 0)
         assert not sol.converged
+
+
+def kkt_certificate(G, b, x):
+    """max(-min gradient, |gradient| on the free set), as the solver defines it."""
+    g = G @ x - b
+    free = x > nnls.X_TOL
+    return max(float(max(0.0, -g.min())) if len(b) else 0.0,
+               float(np.abs(g[free]).max()) if free.any() else 0.0)
+
+
+class TestNnlsExitProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+           m=st.integers(1, 12), shape=st.sampled_from(["random", "duplicated", "zero"]),
+           scale=st.sampled_from([1e-6, 1.0, 1e3]), signed_y=st.booleans(),
+           max_iter=st.sampled_from([None, 1, 2, 5]))
+    def test_every_exit_feasible_with_consistent_certificate(
+            self, seed, n, m, shape, scale, signed_y, max_iter):
+        rng = np.random.default_rng(seed)
+        A = scale * rng.random((m, n))           # m < n gives a rank-deficient Gram
+        if shape == "duplicated" and n > 1:
+            A[:, rng.integers(n)] = A[:, rng.integers(n)]
+        elif shape == "zero":
+            A[:, rng.integers(n)] = 0.0
+        y = rng.standard_normal(m) if signed_y else rng.random(m)
+        G, b = A.T @ A, A.T @ y
+        sol = nnls_from_gram(G, b, yty=float(y @ y), max_iter=max_iter)
+        assert sol.x.shape == (n,)
+        assert np.all(np.isfinite(sol.x))
+        assert np.all(sol.x >= 0)
+        assert sol.kkt_residual == kkt_certificate(G, b, sol.x)
+        if sol.converged:
+            assert sol.kkt_residual <= nnls.DEFAULT_KKT_TOL
 
 
 class TestNormalizeSimplex:

@@ -140,6 +140,26 @@ class TestSerialization:
         build_matrix(db, 3).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("seqs,L", [
+        (("ACGTACGTAC", "GGCATTGA", "TTTAGC"), 3),
+        (("ACGTACGTAC", "GG", "TTTAGC"), 4),          # uniform-tail column
+        (("AACA", "ACAA", "GGGG"), 2),                # duplicated columns
+    ])
+    def test_row_index_handed_over_intact(self, tmp_path, seqs, L):
+        A = build_matrix(db_of(*seqs), L)
+        assert type(A.row_codes) is list
+        assert A.code_to_row == {c: i for i, c in enumerate(A.row_codes)}
+        built, rebuilt = tmp_path / "built", tmp_path / "rebuilt"
+        A.save(built)
+        ReadSamplingMatrix(A.read_length, A.matrix, A.row_codes, A.col_lengths,
+                           A.tail_convention).save(rebuilt)
+        assert built.read_bytes() == rebuilt.read_bytes()
+        B = ReadSamplingMatrix.load(built)
+        assert B.code_to_row == A.code_to_row
+        assert list(B.code_to_row) == list(A.code_to_row)
+        B.save(tmp_path / "reloaded")
+        assert (tmp_path / "reloaded").read_bytes() == built.read_bytes()
+
     def test_corruption_detected(self, tmp_path):
         A = build_matrix(db_of("ACGTACGT"), 3)
         path = tmp_path / "A.rsm"
