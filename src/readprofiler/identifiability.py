@@ -65,11 +65,10 @@ def numerical_rank(singular_values: np.ndarray, shape: tuple[int, int],
 
 def decompose_components(A: ReadSamplingMatrix) -> list[np.ndarray]:
     """Disjoint column groups: connected components of the bipartite
-    row/column graph induced by the nonzero pattern."""
-    pattern = A.matrix.copy()
-    pattern.data = np.ones_like(pattern.data)
-    col_graph = pattern.T @ pattern
-    n_comp, labels = connected_components(col_graph, directed=False)
+    row/column graph induced by the nonzero pattern, read from the pattern of
+    the cached Gram ``A.gram`` (two columns share a row exactly when their
+    Gram entry is nonzero)."""
+    n_comp, labels = connected_components(A.gram, directed=False)
     return [np.where(labels == c)[0] for c in range(n_comp)]
 
 
@@ -112,6 +111,37 @@ def null_space_flags(dense_augmented: np.ndarray, tol: float = SV_TOL,
     return row_norms <= flag_tol, rank, n - rank
 
 
+def _rel_cutoff(n: int, tol: float) -> float:
+    """Eigenvalue cutoff of an n x n Gram, relative to its largest one."""
+    return max((tol * n) ** 2, 1e-13)
+
+
+def _cert_shift(n: int, norm_inf: float, tol: float) -> float:
+    """Shift of the Cholesky full-rank certificate for an n x n Gram of
+    infinity norm ``norm_inf``: ``_CERT_MARGIN`` times the eigenvalue cutoff
+    or more (see null_space_flags_from_gram)."""
+    return _CERT_MARGIN * _rel_cutoff(n, tol) * norm_inf
+
+
+def diagonal_block_full_rank(gram_block: sp.csr_matrix) -> bool:
+    """Whether a block Gram G that stores only its diagonal d passes the
+    ambiguity screen of ``G + 1`` (``null_space_flags_from_gram`` at its
+    default tolerance) without a factorisation.
+
+    True when every d_i exceeds the certificate shift delta of
+    ``G + 11'``, whose infinity norm is ``max d + n``. Then
+    lambda_min(diag(d) + 11') >= min d > delta, and delta is ``_CERT_MARGIN``
+    times the ``eigh`` cutoff or more, so both the certificate and the
+    eigenvalue rule of :func:`null_space_flags_from_gram` return every flag
+    True at rank n. A block with any stored off-diagonal entry is declined.
+    """
+    n = gram_block.shape[0]
+    d = gram_block.diagonal()
+    # with n stored entries and all n diagonal entries positive, none is off it
+    return (gram_block.nnz == n
+            and bool(d.min() > _cert_shift(n, float(d.max()) + n, SV_TOL)))
+
+
 def null_space_flags_from_gram(gram_augmented: np.ndarray, tol: float = SV_TOL,
                                flag_tol: float = FLAG_TOL) -> tuple[np.ndarray, int]:
     """Flags and rank computed from the augmented Gram matrix (A'A + ones).
@@ -133,11 +163,10 @@ def null_space_flags_from_gram(gram_augmented: np.ndarray, tol: float = SV_TOL,
     does not clear, or whose norm is zero or not finite, go to ``eigh``.
     """
     n = gram_augmented.shape[0]
-    rel_cutoff = max((tol * n) ** 2, 1e-13)
     norm_inf = float(np.abs(gram_augmented).sum(axis=1).max()) if n else 0.0
     if 0.0 < norm_inf < np.inf:
         shifted = np.array(gram_augmented, dtype=float, order="F")
-        shifted.flat[::n + 1] -= _CERT_MARGIN * rel_cutoff * norm_inf
+        shifted.flat[::n + 1] -= _cert_shift(n, norm_inf, tol)
         _, info = scipy.linalg.lapack.dpotrf(shifted, lower=True, clean=False,
                                              overwrite_a=True)
         if info == 0:
@@ -146,7 +175,7 @@ def null_space_flags_from_gram(gram_augmented: np.ndarray, tol: float = SV_TOL,
     ev_max = max(float(evals[-1]), 0.0)
     if ev_max == 0.0:
         return np.zeros(n, dtype=bool), 0
-    cutoff = ev_max * rel_cutoff
+    cutoff = ev_max * _rel_cutoff(n, tol)
     null_mask = evals <= cutoff
     rank = n - int(np.count_nonzero(null_mask))
     null_basis = evecs[:, null_mask]
@@ -187,8 +216,7 @@ def analyze(A: ReadSamplingMatrix, tol: float = SV_TOL,
             comp_flags, comp_rank, _ = null_space_flags(dense, tol, flag_tol)
         else:
             # Gram path for oversized components; flagged approximate below.
-            sub = A.matrix[:, cols]
-            gram = np.asarray((sub.T @ sub).todense()) + 1.0
+            gram = A.gram[cols][:, cols].toarray() + 1.0
             comp_flags, comp_rank = null_space_flags_from_gram(gram, tol, flag_tol)
             approximate = True
         flags[cols] = comp_flags

@@ -71,7 +71,7 @@ def gram_lambda_min(A: ReadSamplingMatrix) -> float:
     """Smallest eigenvalue of A'A, taken per connected component (the global
     minimum is the minimum over components).
 
-    A'A is formed once, as one sparse product. A singleton component's
+    A'A is the matrix's cached ``A.gram``. A singleton component's
     eigenvalue is its diagonal entry, read for all of them in one step
     (``eigvalsh`` of a 1 x 1 matrix returns that entry exactly); each larger
     component runs ``eigvalsh`` on its dense block of the same product.
@@ -84,7 +84,7 @@ def gram_lambda_min(A: ReadSamplingMatrix) -> float:
     largest = max((len(cols) for cols in groups if len(cols) > 1), default=0)
     if largest > GRAM_CAP:
         raise ValueError(f"component of {largest} species exceeds the dense Gram cap {GRAM_CAP}")
-    gram = A.matrix.T @ A.matrix
+    gram = A.gram
     lams = gram.diagonal()[np.array([cols[0] for cols in groups], dtype=np.intp)]
     for i, cols in enumerate(groups):
         if len(cols) > 1:

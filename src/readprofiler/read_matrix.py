@@ -66,7 +66,15 @@ class FrequencyVector:
 
 
 class ReadSamplingMatrix:
-    """Compacted K x N read-sampling matrix with its row-code index."""
+    """Compacted K x N read-sampling matrix with its row-code index.
+
+    The matrix is immutable after construction: :attr:`gram` caches A'A on
+    first use, and every consumer reads that one product.
+    """
+
+    #: :meth:`gram_if_cheap` forms A'A only within this many multiply-adds
+    #: per stored entry of A.
+    _CHEAP_GRAM_PRODUCTS = 2
 
     def __init__(
         self,
@@ -101,6 +109,42 @@ class ReadSamplingMatrix:
         self.row_codes = list(row_codes)
         self.col_lengths = np.asarray(col_lengths, dtype=np.int64)
         self.tail_convention = tail_convention
+        self._gram: sp.csr_matrix | None = None
+
+    @property
+    def gram(self) -> sp.csr_matrix:
+        """The species Gram A'A as CSR, computed once and cached.
+
+        Entry (i, j) sums A[k, i] * A[k, j] over the rows k that both columns
+        touch, in increasing k, whatever other columns take part, so a block
+        ``gram[cols][:, cols]`` is bit-identical to the product of A's
+        ``cols`` columns alone. Its pattern is that of the column graph: A
+        is nonnegative, so no sum cancels, and each stored entry is at least
+        4**-12 or one over a sequence length, so no product underflows.
+        :meth:`save` never writes it.
+        """
+        if self._gram is None:
+            self._gram = (self.matrix.T @ self.matrix).tocsr()
+        return self._gram
+
+    def gram_if_cheap(self) -> sp.csr_matrix | None:
+        """:attr:`gram` when it is cached or cheap to form, else None.
+
+        Forming A'A takes sum_k r_k^2 multiply-adds, r_k being the number of
+        species in row k, and that sum bounds its nnz. Uncached, it is formed
+        only when the sum is at most twice nnz(A), so the cache holds at most
+        twice A's own entries. Species that share many rows (short L, strain
+        families) make A'A nearly dense, N^2 entries; a caller that needs only
+        blocks of it then forms each block's own product instead.
+        """
+        if self._gram is None:
+            # add.at reads the int32 row indices in place; bincount would
+            # first copy them to int64, 8 bytes per stored entry
+            counts = np.zeros(self.n_rows, dtype=np.int64)
+            np.add.at(counts, self.matrix.indices, 1)
+            if int(counts @ counts) > self._CHEAP_GRAM_PRODUCTS * self.matrix.nnz:
+                return None
+        return self.gram
 
     @property
     def n_rows(self) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .identifiability import null_space_flags_from_gram
+from .identifiability import diagonal_block_full_rank, null_space_flags_from_gram
 from .nnls import DEFAULT_KKT_TOL, X_TOL, NnlsSolution, nnls_from_gram, residual_norm
 from .read_matrix import FrequencyVector, ReadSamplingMatrix, unweight_from_dna
 
@@ -133,16 +133,43 @@ def _solve_block(G, b, params: DncParams) -> NnlsSolution:
     return sol
 
 
+def _block_gram(A: ReadSamplingMatrix, gram, cols) -> tuple[np.ndarray, bool]:
+    """Dense Gram of A's ``cols`` columns, and whether it is full rank
+    without a screen (one column, or :func:`diagonal_block_full_rank`).
+
+    The sparse Gram is a slice of ``gram`` (A'A) when there is one, else the
+    product of those columns alone; it is dropped before the block is solved.
+    """
+    if gram is not None:
+        Gs = gram[cols][:, cols]
+    else:
+        sub = A.matrix[:, cols]
+        Gs = sub.T @ sub
+    return Gs.toarray(), len(cols) == 1 or diagonal_block_full_rank(Gs)
+
+
 def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
                        ) -> ReconstructionReport:
     """Run the full blocking/thresholding/final-solve pipeline on observed
-    read frequencies ``y`` (length K, aligned to A's compact rows)."""
+    read frequencies ``y`` (length K, aligned to A's compact rows).
+
+    Every block's right-hand side is sliced from ``A'y``, formed once per
+    call. Its Gram is sliced from A'A when
+    :meth:`ReadSamplingMatrix.gram_if_cheap` gives it, so a block costs its
+    own size rather than a pass over the K rows; otherwise (species sharing
+    many rows) each block forms its own columns' product, and memory stays
+    bounded by the block. Either way the Gram holds the same bits. A block whose Gram is diagonal with entries
+    above the screen's certificate shift is full rank and skips the screen's
+    factorisation (:func:`diagonal_block_full_rank`). The final solve reports
+    ||Ax - y|| from the surviving columns of A.
+    """
     params = params or DncParams()
     y = np.asarray(y, dtype=float).ravel()
-    m = A.matrix
     n = A.n_species
     if len(y) != A.n_rows:
         raise ValueError(f"y has {len(y)} entries but matrix has {A.n_rows} rows")
+    gram = A.gram_if_cheap()
+    aty = A.matrix.T @ y
 
     active = np.arange(n)
     iterations: list[IterationStats] = []
@@ -161,17 +188,15 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
                                           params.seed, iteration, round_idx)
             for pos in positions:
                 cols = active[pos]
-                sub = m[:, cols]
-                G = np.asarray((sub.T @ sub).todense())
-                b = np.asarray(sub.T @ y).ravel()
-                sol = _solve_block(G, b, params)
+                G, full_rank = _block_gram(A, gram, cols)
+                sol = _solve_block(G, aty[cols], params)
                 blocks_solved += 1
                 if not sol.converged:
                     unconverged += 1
                     logger.warning("block solve did not converge (kkt=%.2e); "
                                    "passing survivors through", sol.kkt_residual)
                 local = sol.x >= params.tau
-                if len(cols) > 1:
+                if not full_rank:
                     # species not pinned down by their block survive to a
                     # larger joint solve
                     flags, _ = null_space_flags_from_gram(G + 1.0)
@@ -193,11 +218,9 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
             break
 
     # final solve on the surviving columns against the full objective
-    sub = m[:, active]
-    G = np.asarray((sub.T @ sub).todense())
-    b = np.asarray(sub.T @ y).ravel()
-    sol = nnls_from_gram(G, b, yty=float(y @ y), kkt_tol=params.kkt_tol)
-    sol.residual_norm = residual_norm(sub, sol.x, y)
+    G, _ = _block_gram(A, gram, active)
+    sol = nnls_from_gram(G, aty[active], yty=float(y @ y), kkt_tol=params.kkt_tol)
+    sol.residual_norm = residual_norm(A.matrix[:, active], sol.x, y)
     if sol.x.sum() <= 0:
         logger.warning("final solve returned an all-zero vector")
         return _empty_report(A, iterations, params, final=sol)

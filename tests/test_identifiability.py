@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from readprofiler import identifiability
 from readprofiler.identifiability import (
     analyze,
     critical_read_length_scan,
     decompose_components,
+    diagonal_block_full_rank,
     find_substring_pairs,
     is_identifiable,
     null_space_flags,
@@ -194,6 +196,90 @@ class TestComponents:
             else:
                 certified_full_rank += certified
         assert certified_full_rank >= 1
+
+
+class TestComponentsFromGram:
+    @staticmethod
+    def pattern_components(A):
+        """Components from the product of A's 0/1 pattern with itself."""
+        pattern = A.matrix.copy()
+        pattern.data = np.ones_like(pattern.data)
+        n_comp, labels = connected_components(pattern.T @ pattern, directed=False)
+        return [np.where(labels == c)[0] for c in range(n_comp)]
+
+    def test_labels_match_pattern_product(self):
+        rng = np.random.default_rng(13)
+
+        def seq(n):
+            return "".join("ACGT"[d] for d in rng.integers(0, 4, n))
+
+        cases = []
+        for trial in range(6):
+            cases.append((db_of(*sorted({seq(30) for _ in range(40)})),
+                          (2, 3, 5, 8)[trial % 4]))
+            founders = [seq(60) for _ in range(4)]
+            family = [f[:p] + "ACGT"[(("ACGT".index(f[p]) + 1) % 4)] + f[p + 1:]
+                      for f in founders for p in rng.integers(0, 60, 5)]
+            cases.append((db_of(*sorted(set(family))), (4, 6, 8)[trial % 3]))
+            short = {seq(int(rng.integers(3, 12))) for _ in range(25)}
+            cases.append((db_of(*sorted(short)), 8))   # uniform tails up to 5 long
+        split = 0
+        for db, read_len in cases:
+            A = build_matrix(db, read_len)
+            groups = decompose_components(A)
+            expected = self.pattern_components(A)
+            assert len(groups) == len(expected)
+            for got, want in zip(groups, expected):
+                np.testing.assert_array_equal(got, want)
+            split += 1 < len(groups) < A.n_species
+        assert split >= 5
+
+
+class TestDiagonalBlockShortcut:
+    @staticmethod
+    def shift(d):
+        """Certificate shift of diag(d) + 11' at the default tolerance."""
+        n = len(d)
+        return 1e3 * max((1e-10 * n) ** 2, 1e-13) * (d.max() + n)
+
+    def test_fires_only_where_screen_finds_full_rank(self):
+        rng = np.random.default_rng(17)
+        fired = declined = 0
+        for trial in range(60):
+            n = int((2, 3, 7, 40, 300, 1000, 1200)[trial % 7])
+            d = 10.0 ** rng.uniform(rng.uniform(-9, -5), 0, n)
+            verdict = diagonal_block_full_rank(sp.diags(d).tocsr())
+            assert verdict == (d.min() > self.shift(d))
+            if not verdict:
+                declined += 1
+                continue
+            fired += 1
+            M = np.diag(d) + 1.0
+            flags, rank = null_space_flags_from_gram(M)
+            assert flags.all() and rank == n
+            evals = scipy.linalg.eigvalsh(M)
+            assert evals[0] > evals[-1] * max((1e-10 * n) ** 2, 1e-13)
+        assert fired >= 10 and declined >= 10
+
+    def test_off_diagonal_entry_declines(self):
+        rng = np.random.default_rng(19)
+        for n in (2, 5, 100, 1000):
+            d = rng.uniform(0.5, 1.0, n)
+            assert diagonal_block_full_rank(sp.diags(d).tocsr())
+            G = sp.diags(d).tolil()
+            i, j = rng.choice(n, 2, replace=False)
+            G[i, j] = G[j, i] = 10.0 ** rng.uniform(-300, 0)
+            assert not diagonal_block_full_rank(G.tocsr())
+
+    def test_tail_column_declined(self):
+        # a column whose sequence is 12 shorter than L has 4**12 entries of
+        # 4**-12, so its Gram diagonal is 4**-12: below the shift at n = 1000
+        d = np.ones(1000)
+        d[123] = 4.0 ** -12
+        assert d[123] < self.shift(d)
+        assert not diagonal_block_full_rank(sp.diags(d).tocsr())
+        A = build_matrix(db_of("ACGTAC", "GGATCCAT"), 9)   # tails of 3 and 1
+        np.testing.assert_array_equal(A.gram.diagonal(), [4.0 ** -3, 4.0 ** -1])
 
 
 class TestNullSpaceFlagsKernel:

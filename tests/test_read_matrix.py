@@ -1,10 +1,14 @@
 import itertools
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from readprofiler.experiments import generate_random_db
+from readprofiler.mixture_sim import empirical_frequencies, sample_power_law_mixture, \
+    simulate_reads
 from readprofiler.read_matrix import (
     FrequencyVector,
     ReadSamplingMatrix,
@@ -12,6 +16,7 @@ from readprofiler.read_matrix import (
     reweight_to_dna,
     unweight_from_dna,
 )
+from readprofiler.reconstruct import DncParams, divide_and_conquer
 from readprofiler.sequence_db import SequenceDatabase, lex_decode
 
 
@@ -169,6 +174,59 @@ class TestSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="checksum"):
             ReadSamplingMatrix.load(path)
+
+
+class TestGramCache:
+    CASES = [
+        (("ACGTACGTAC", "GGCATTGA", "TTTAGC"), 3),
+        (("ACGTACGTAC", "GG", "TTTAGC"), 4),          # uniform-tail column
+        (("AACA", "ACAA", "GGGG"), 2),                # duplicated columns
+    ]
+
+    @pytest.mark.parametrize("seqs,L", CASES)
+    def test_gram_is_the_sparse_product(self, seqs, L):
+        A = build_matrix(db_of(*seqs), L)
+        want = (A.matrix.T @ A.matrix).tocsr()
+        got = A.gram
+        assert got is A.gram
+        for attr in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+        with pytest.raises(AttributeError):
+            A.gram = want
+
+    def test_gram_if_cheap(self):
+        # no shared 4-mer: one species per row, A'A takes nnz(A) products
+        A = build_matrix(db_of("ACGTACGTAC", "GGCATTGA", "TTTAGC"), 4)
+        assert A.gram_if_cheap() is A.gram
+        # every species holds all four 1-mers: 4 * 3**2 products > 2 * 12
+        B = build_matrix(db_of("ACGT", "TGCA", "GATC"), 1)
+        assert B.gram_if_cheap() is None
+        assert B.gram_if_cheap() is None        # declining caches nothing
+        gram = B.gram
+        assert B.gram_if_cheap() is gram        # a cached A'A is returned
+
+    @pytest.mark.parametrize("seqs,L", CASES)
+    def test_cache_never_saved(self, tmp_path, seqs, L):
+        A = build_matrix(db_of(*seqs), L)
+        before, after = tmp_path / "before", tmp_path / "after"
+        A.save(before)
+        A.gram
+        A.save(after)
+        assert before.read_bytes() == after.read_bytes()
+
+    def test_dnc_same_after_load_and_pickle(self, tmp_path):
+        A = build_matrix(generate_random_db(40, 30, seed=3), 6)
+        mix = sample_power_law_mixture(40, 5, 1.0, seed=4)
+        y = empirical_frequencies(simulate_reads(A, mix.full_vector(40), 5000, 5), A).y
+        params = DncParams(block_size=7, k_final=3, seed=6)
+        A.save(tmp_path / "A.rsm")
+        loaded = ReadSamplingMatrix.load(tmp_path / "A.rsm")
+        want = divide_and_conquer(A, y, params).to_dict()
+        empty = pickle.dumps(loaded)
+        A.gram
+        # pickled both before and after the cache is filled
+        for B in (loaded, pickle.loads(empty), pickle.loads(pickle.dumps(A))):
+            assert divide_and_conquer(B, y, params).to_dict() == want
 
 
 class TestFrequencyConversions:

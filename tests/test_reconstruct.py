@@ -4,10 +4,16 @@ import pytest
 from readprofiler.experiments import generate_random_db
 from readprofiler.mixture_sim import empirical_frequencies, sample_power_law_mixture, \
     simulate_reads
-from readprofiler.nnls import nnls_solve
-from readprofiler.read_matrix import FrequencyVector, build_matrix
+from readprofiler.identifiability import null_space_flags_from_gram
+from readprofiler.nnls import X_TOL, nnls_from_gram, nnls_solve, residual_norm
+from readprofiler.read_matrix import FrequencyVector, build_matrix, unweight_from_dna
 from readprofiler.reconstruct import (
     DncParams,
+    IterationStats,
+    ReconstructionReport,
+    _empty_report,
+    _solve_block,
+    _solver_diag,
     default_repetitions,
     divide_and_conquer,
     load_estimate,
@@ -178,3 +184,138 @@ class TestDivideAndConquer:
         report = divide_and_conquer(A, emp.y, params)
         # species 2 duplicates species 1: ambiguous, must appear in final solve
         assert report.iterations[-1].survivor_count >= 3
+
+
+def reference_dnc(A, y, params):
+    """The per-block loop DnC ran before block Grams were sliced from
+    ``A.gram``: every block slices all K rows of A, forms sub'sub and sub'y,
+    and screens ``G + 1`` whatever its pattern."""
+    y = np.asarray(y, dtype=float).ravel()
+    m = A.matrix
+    n = A.n_species
+    active = np.arange(n)
+    iterations = []
+    iteration = 0
+    while True:
+        iteration += 1
+        if params.schedule is not None:
+            reps = params.schedule[min(iteration, len(params.schedule)) - 1]
+        else:
+            reps = default_repetitions(len(active), n)
+        marked = np.zeros(len(active), dtype=bool)
+        blocks_solved = unconverged = 0
+        for round_idx in range(reps):
+            for pos in partition_species(np.arange(len(active)), params.block_size,
+                                         params.seed, iteration, round_idx):
+                cols = active[pos]
+                sub = m[:, cols]
+                G = np.asarray((sub.T @ sub).todense())
+                b = np.asarray(sub.T @ y).ravel()
+                sol = _solve_block(G, b, params)
+                blocks_solved += 1
+                unconverged += not sol.converged
+                local = sol.x >= params.tau
+                if len(cols) > 1:
+                    local |= ~null_space_flags_from_gram(G + 1.0)[0]
+                marked[pos] |= local
+        survivors = active[marked]
+        iterations.append(IterationStats(iteration, len(active), len(survivors),
+                                         reps, blocks_solved, unconverged))
+        if survivors.size == 0:
+            return _empty_report(A, iterations, params)
+        no_shrink = survivors.size == active.size
+        active = survivors
+        if active.size <= params.k_final:
+            break
+        if iteration >= params.max_iterations or (no_shrink and iteration > 1):
+            break
+    sub = m[:, active]
+    G = np.asarray((sub.T @ sub).todense())
+    b = np.asarray(sub.T @ y).ravel()
+    sol = nnls_from_gram(G, b, yty=float(y @ y), kkt_tol=params.kkt_tol)
+    sol.residual_norm = residual_norm(sub, sol.x, y)
+    if sol.x.sum() <= 0:
+        return _empty_report(A, iterations, params, final=sol)
+    x_full = np.zeros(n)
+    x_full[active] = sol.x
+    x_full /= x_full.sum()
+    x_full /= x_full.sum()
+    x_dna = FrequencyVector(x_full, "dna", normalized=True)
+    return ReconstructionReport(
+        x_hat=unweight_from_dna(x_dna, A.col_lengths), x_hat_dna=x_dna,
+        support=np.where(x_full > X_TOL)[0] + 1, iterations=iterations,
+        final_solver=_solver_diag(sol), params=params, seed=params.seed)
+
+
+def family_db(families, members, length, seed):
+    """Families of near-copies (two substitutions each): shared k-mers give
+    blocks with off-diagonal Gram entries."""
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for _ in range(families):
+        founder = rng.integers(0, 4, length)
+        for _ in range(members):
+            member = founder.copy()
+            pos = rng.choice(length, 2, replace=False)
+            member[pos] = (member[pos] + rng.integers(1, 4, 2)) % 4
+            seqs.append("".join("ACGT"[b] for b in member))
+    return SequenceDatabase.from_sequences(seqs)
+
+
+def oracle_instance(i):
+    """Seeded instance ``i``: a family, short-sequence (uniform tails) or
+    random database, with observed frequencies and DnC parameters whose
+    blocks run from 5 to 1000 columns."""
+    kind = i % 3
+    if kind == 0:
+        A = build_matrix(family_db(5, 6, 80, seed=i), (3, 5, 8)[i // 3 % 3])
+    elif kind == 1:
+        # stems with some of their one-base extensions: at L past their
+        # length, a stem's column is the mean of its four extensions' columns
+        rng = np.random.default_rng(i)
+        seqs = []
+        for _ in range(10):
+            stem = "".join("ACGT"[b] for b in rng.integers(0, 4, rng.integers(3, 6)))
+            seqs += [stem] + [stem + c for c in "ACGT"[:rng.integers(2, 5)]]
+        A = build_matrix(SequenceDatabase.from_sequences(seqs), 8)
+    else:
+        A = build_matrix(generate_random_db(60, 50, seed=i), (2, 4, 20)[i // 3 % 3])
+    n = A.n_species
+    mix = sample_power_law_mixture(n, n // 6, 1.0, seed=100 + i)
+    emp = empirical_frequencies(simulate_reads(A, mix.full_vector(n), 10000, 200 + i), A)
+    params = DncParams(block_size=(5, 7, 13, 30, 1000)[i % 5], k_final=2 + i % 4,
+                       tau=(1e-3, 0.02, 0.1)[i // 9 % 3], seed=300 + i)
+    return A, emp.y, params
+
+
+class TestDncMatchesPerBlockReference:
+    @pytest.mark.parametrize("i", range(60))
+    def test_report_identical(self, i):
+        A, y, params = oracle_instance(i)
+        want = reference_dnc(A, y, params).to_dict()
+        assert divide_and_conquer(A, y, params).to_dict() == want
+        A.gram    # a cached A'A is sliced whatever it cost to form
+        assert divide_and_conquer(A, y, params).to_dict() == want
+
+    def test_costly_gram_left_unformed(self):
+        # family species share rows, so DnC forms per-block products and
+        # caches no A'A; random species at L=20 share none, so it slices one
+        for i, cheap in ((0, False), (3, False), (8, True), (17, True)):
+            A, y, params = oracle_instance(i)
+            divide_and_conquer(A, y, params)
+            assert (A.gram_if_cheap() is not None) == cheap
+
+    def test_instances_take_both_screen_paths(self, monkeypatch):
+        # family instances have blocks the screen must factorise; random
+        # instances at L=20 have diagonal blocks the shortcut clears
+        from readprofiler import reconstruct
+        screened = []
+        real = reconstruct.null_space_flags_from_gram
+        monkeypatch.setattr(reconstruct, "null_space_flags_from_gram",
+                            lambda M: screened.append(M.shape[0]) or real(M))
+        for i, expect_screen in ((0, True), (17, False)):
+            A, y, params = oracle_instance(i)
+            screened.clear()
+            report = divide_and_conquer(A, y, params)
+            assert bool(screened) == expect_screen
+            assert sum(it.blocks_solved for it in report.iterations) > 1
