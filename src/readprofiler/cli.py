@@ -79,7 +79,6 @@ def cmd_identifiability(args) -> int:
             "rank": report.rank,
             "n_species": report.n_species,
             "null_space_dim": report.null_space_dim,
-            "method": report.method,
             "partial_flags": report.partial_flags.astype(int).tolist(),
         }
     if not out:

@@ -1,10 +1,12 @@
 """Identifiability diagnostics for a read-sampling matrix.
 
 Frequencies are recoverable in the infinite-read limit exactly when the
-matrix, augmented with an all-ones row, has full column rank; a single species
-is pinned down exactly when its basis vector is orthogonal to the null space
-of the augmented matrix. Both checks run per connected component of the
-row/column sparsity graph so large block-structured instances stay cheap.
+matrix A has full column rank; a single species is pinned down exactly when
+its basis vector is orthogonal to the null space of A. (Every column of A
+sums to one, so the constraint that frequencies sum to one adds no equation
+that A does not give already.) Both checks read A's rank and null space from
+its Gram A'A with one kernel, :func:`null_space_flags_from_gram`, run per
+connected component of the row/column sparsity graph.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from .sequence_db import SequenceDatabase
 
 logger = logging.getLogger(__name__)
 
-SV_TOL = 1e-10          # relative singular-value cutoff for numerical rank
+SV_TOL = 1e-10          # relative rank tolerance; sets the Gram eigenvalue cutoff (_rel_cutoff)
 FLAG_TOL = 1e-8         # row-norm cutoff for null-space membership flags
-COMPONENT_CAP = 5000    # columns per component before switching to Gram path
-DENSE_ELEMENT_CAP = 400_000_000
+GRAM_CAP = 20_000       # columns of the largest dense component Gram
 # Cholesky full-rank certificate shift, as a multiple of the Gram eigenvalue
 # cutoff (see null_space_flags_from_gram)
 _CERT_MARGIN = 1e3
@@ -39,76 +40,29 @@ class IdentifiabilityReport:
     partial_flags: np.ndarray
     null_space_dim: int
     tolerance: float
-    method: str
 
     def __post_init__(self):
         if self.identifiable != (self.rank == self.n_species):
             raise ValueError("identifiable flag inconsistent with rank")
 
 
-def _augmented_dense(matrix: sp.csc_matrix, cols: np.ndarray) -> np.ndarray:
-    """Dense submatrix on the given columns, restricted to their touched rows,
-    with an all-ones row appended."""
-    sub = matrix[:, cols]
-    rows = np.unique(sub.indices)
-    dense = np.asarray(sub.tocsr()[rows].todense()) if rows.size else np.zeros((0, len(cols)))
-    return np.vstack([dense, np.ones((1, len(cols)))])
-
-
-def numerical_rank(singular_values: np.ndarray, shape: tuple[int, int],
-                   tol: float) -> int:
-    if len(singular_values) == 0:
-        return 0
-    cutoff = tol * singular_values[0] * max(shape)
-    return int(np.count_nonzero(singular_values > cutoff))
-
-
 def decompose_components(A: ReadSamplingMatrix) -> list[np.ndarray]:
     """Disjoint column groups: connected components of the bipartite
     row/column graph induced by the nonzero pattern, read from the pattern of
     the cached Gram ``A.gram`` (two columns share a row exactly when their
-    Gram entry is nonzero)."""
-    n_comp, labels = connected_components(A.gram, directed=False)
-    return [np.where(labels == c)[0] for c in range(n_comp)]
+    Gram entry is nonzero). Group c holds the columns labelled c, ascending;
+    one stable sort of the labels, split at their counts, builds them all."""
+    _, labels = connected_components(A.gram, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
-def is_identifiable(A: ReadSamplingMatrix, tol: float = SV_TOL) -> tuple[bool, int]:
-    """Full identifiability check: rank of the augmented matrix equals N."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    n = A.n_species
-    if (A.n_rows + 1) * n > DENSE_ELEMENT_CAP:
-        raise ValueError(
-            "matrix too large for a dense rank computation; run per-component "
-            "analysis via partially_identifiable/analyze"
-        )
-    dense = _augmented_dense(A.matrix, np.arange(n))
-    sv = scipy.linalg.svdvals(dense)
-    rank = numerical_rank(sv, dense.shape, tol)
-    return rank == n, rank
-
-
-def null_space_flags(dense_augmented: np.ndarray, tol: float = SV_TOL,
-                     flag_tol: float = FLAG_TOL) -> tuple[np.ndarray, int, int]:
-    """Per-column identifiability flags from a dense augmented matrix.
-
-    Returns (flags, rank, null_dim); a column is flagged identifiable when its
-    row of the orthonormal null-space basis has norm <= flag_tol.
-
-    A tall or square block (m >= n) gets the thin SVD: it returns the same n
-    singular values and all n right singular vectors, so ``vt[rank:]`` is the
-    same null-space basis as with the full SVD, and only U shrinks from m x m
-    to m x n. A wide block keeps the full SVD, because its null space needs
-    the n - m rows of ``vt`` that the thin SVD leaves out.
-    """
-    m, n = dense_augmented.shape
-    _, sv, vt = scipy.linalg.svd(dense_augmented, full_matrices=m < n)
-    rank = numerical_rank(sv, dense_augmented.shape, tol)
-    null_basis = vt[rank:]  # (n - rank) x n
-    if null_basis.shape[0] == 0:
-        return np.ones(n, dtype=bool), rank, 0
-    row_norms = np.linalg.norm(null_basis, axis=0)
-    return row_norms <= flag_tol, rank, n - rank
+def check_gram_cap(groups: list[np.ndarray], cap: int) -> None:
+    """Raise ValueError when the largest multi-column group has more than
+    ``cap`` columns, the most a dense component Gram may hold."""
+    largest = max((len(cols) for cols in groups if len(cols) > 1), default=0)
+    if largest > cap:
+        raise ValueError(f"component of {largest} species exceeds the dense Gram cap {cap}")
 
 
 def _rel_cutoff(n: int, tol: float) -> float:
@@ -116,62 +70,74 @@ def _rel_cutoff(n: int, tol: float) -> float:
     return max((tol * n) ** 2, 1e-13)
 
 
-def _cert_shift(n: int, norm_inf: float, tol: float) -> float:
-    """Shift of the Cholesky full-rank certificate for an n x n Gram of
-    infinity norm ``norm_inf``: ``_CERT_MARGIN`` times the eigenvalue cutoff
-    or more (see null_space_flags_from_gram)."""
-    return _CERT_MARGIN * _rel_cutoff(n, tol) * norm_inf
+def _cert_shift(n: int, trace: float, tol: float) -> float:
+    """Shift of the Cholesky full-rank certificate for an n x n Gram of trace
+    ``trace``: ``_CERT_MARGIN`` times the eigenvalue cutoff or more (see
+    null_space_flags_from_gram)."""
+    return _CERT_MARGIN * _rel_cutoff(n, tol) * trace
 
 
 def diagonal_block_full_rank(gram_block: sp.csr_matrix) -> bool:
-    """Whether a block Gram G that stores only its diagonal d passes the
-    ambiguity screen of ``G + 1`` (``null_space_flags_from_gram`` at its
-    default tolerance) without a factorisation.
+    """Whether a block Gram G that stores only its diagonal d is full rank by
+    :func:`null_space_flags_from_gram` at its default tolerance, without a
+    factorisation.
 
-    True when every d_i exceeds the certificate shift delta of
-    ``G + 11'``, whose infinity norm is ``max d + n``. Then
-    lambda_min(diag(d) + 11') >= min d > delta, and delta is ``_CERT_MARGIN``
-    times the ``eigh`` cutoff or more, so both the certificate and the
-    eigenvalue rule of :func:`null_space_flags_from_gram` return every flag
-    True at rank n. A block with any stored off-diagonal entry is declined.
+    True when every d_i exceeds the certificate shift delta for G's trace,
+    ``d.sum()``. Then diag(d) - delta*I is positive definite, so the
+    certificate clears G and the kernel returns every flag True at rank n.
+    A block with any stored off-diagonal entry is declined.
     """
     n = gram_block.shape[0]
     d = gram_block.diagonal()
     # with n stored entries and all n diagonal entries positive, none is off it
     return (gram_block.nnz == n
-            and bool(d.min() > _cert_shift(n, float(d.max()) + n, SV_TOL)))
+            and bool(d.min() > _cert_shift(n, float(d.sum()), SV_TOL)))
 
 
-def null_space_flags_from_gram(gram_augmented: np.ndarray, tol: float = SV_TOL,
-                               flag_tol: float = FLAG_TOL) -> tuple[np.ndarray, int]:
-    """Flags and rank computed from the augmented Gram matrix (A'A + ones).
+def null_space_flags_from_gram(gram: np.ndarray, tol: float = SV_TOL,
+                               flag_tol: float = FLAG_TOL,
+                               matrix=None) -> tuple[np.ndarray, int]:
+    """Flags and rank of a matrix A from its dense Gram G = A'A: the one rank
+    and null-space kernel. Returns (flags, rank); a column is flagged
+    identifiable when its row of the orthonormal null-space basis (the
+    eigenvectors of G with zero eigenvalue) has norm <= flag_tol.
 
-    Squares the conditioning, so the effective zero-detection floor is coarser
-    than the SVD path; adequate for screening blocks during reconstruction.
-    Returns (flags, rank).
-
-    The rank rule counts eigenvalues of M at or below ``ev_max * rel_cutoff``,
+    The rank rule counts eigenvalues of G at or below ``ev_max * rel_cutoff``,
     ``rel_cutoff = max((tol * n) ** 2, 1e-13)``, as zero. A Cholesky
-    factorisation of M - delta*I with ``delta = _CERT_MARGIN * rel_cutoff *
-    ||M||_inf`` certifies full rank first. If it succeeds, M - delta*I + E is
+    factorisation of G - delta*I with ``delta = _CERT_MARGIN * rel_cutoff *
+    trace(G)`` certifies full rank first. If it succeeds, G - delta*I + E is
     positive semidefinite for a backward error ||E||_2 <= (n + 1) * eps *
-    trace(M) (Higham 2002, Thm 10.5), so lambda_min(M) >= delta - O(n * eps *
-    ||M||_2); the trace of A'A + ones is at most 2 * ||M||_2 for a
-    column-stochastic A. Since ||M||_inf >= ev_max, delta is ``_CERT_MARGIN``
-    times the cutoff or more, far above that error and the eigensolver's, so
-    the eigenvalue rule would find full rank too. Matrices the certificate
-    does not clear, or whose norm is zero or not finite, go to ``eigh``.
+    trace(G) (Higham 2002, Thm 10.5), so lambda_min(G) >= delta - (n + 1) *
+    eps * trace(G). delta is at least 140 times that error at every n: below
+    3163 columns ``_CERT_MARGIN * rel_cutoff`` is 1e-10 against (n + 1) * eps
+    <= 7.1e-13, and above it the ratio grows as n / 22. Since trace(G) >=
+    ev_max, delta is also ``_CERT_MARGIN`` times the cutoff or more, far
+    above the eigensolver's error, so the eigenvalue rule would find full
+    rank too. Matrices the certificate does not clear, or whose trace is zero
+    or not finite, go to ``eigh``.
+
+    The null basis N from ``eigh`` errs by up to about n * eps * ev_max /
+    lambda_min in each row norm (Davis-Kahan), lambda_min the smallest kept
+    eigenvalue; that reaches ``flag_tol`` once A's smallest kept singular
+    value is ~1e-4 of its largest. Given ``matrix`` (A as CSC), a row norm
+    within that error of ``flag_tol`` triggers one step of iterative
+    refinement: N - V diag(1/lambda) V'A'(AN), with V and lambda the kept
+    eigenpairs, is N without its part in A's row space, and is
+    orthonormalised again. AN comes from A, not G, so the step leaves an
+    error of about eps * ||A|| / sigma_min, as a dense SVD of A would. The
+    DnC screen passes no matrix: its error lifts true zero row norms above
+    ``flag_tol``, which keeps such species for the larger joint solve.
     """
-    n = gram_augmented.shape[0]
-    norm_inf = float(np.abs(gram_augmented).sum(axis=1).max()) if n else 0.0
-    if 0.0 < norm_inf < np.inf:
-        shifted = np.array(gram_augmented, dtype=float, order="F")
-        shifted.flat[::n + 1] -= _cert_shift(n, norm_inf, tol)
+    n = gram.shape[0]
+    trace = float(np.trace(gram)) if n else 0.0
+    if 0.0 < trace < np.inf:
+        shifted = np.array(gram, dtype=float, order="F")
+        shifted.flat[::n + 1] -= _cert_shift(n, trace, tol)
         _, info = scipy.linalg.lapack.dpotrf(shifted, lower=True, clean=False,
                                              overwrite_a=True)
         if info == 0:
             return np.ones(n, dtype=bool), n
-    evals, evecs = scipy.linalg.eigh(gram_augmented)
+    evals, evecs = scipy.linalg.eigh(gram)
     ev_max = max(float(evals[-1]), 0.0)
     if ev_max == 0.0:
         return np.zeros(n, dtype=bool), 0
@@ -182,17 +148,27 @@ def null_space_flags_from_gram(gram_augmented: np.ndarray, tol: float = SV_TOL,
     if null_basis.shape[1] == 0:
         return np.ones(n, dtype=bool), rank
     row_norms = np.linalg.norm(null_basis, axis=1)
+    # evals ascend, so the kept ones are the last ``rank``
+    error = n * np.finfo(float).eps * ev_max / evals[n - rank]
+    if matrix is not None and np.any(np.abs(row_norms - flag_tol) <= error):
+        # A on the rows its columns touch, so AN holds no rows of zeros
+        rows, local = np.unique(matrix.indices, return_inverse=True)
+        a = sp.csc_matrix((matrix.data, local, matrix.indptr), shape=(len(rows), n))
+        kept = evecs[:, n - rank:]
+        in_rows = kept @ ((kept.T @ (a.T @ (a @ null_basis))) / evals[n - rank:, None])
+        row_norms = np.linalg.norm(np.linalg.qr(null_basis - in_rows)[0], axis=1)
     return row_norms <= flag_tol, rank
+
+
+def is_identifiable(A: ReadSamplingMatrix, tol: float = SV_TOL) -> tuple[bool, int]:
+    """Full identifiability check: (rank == N, rank), from :func:`analyze`."""
+    report = analyze(A, tol=tol)
+    return report.identifiable, report.rank
 
 
 def partially_identifiable(A: ReadSamplingMatrix, tol: float = SV_TOL,
                            flag_tol: float = FLAG_TOL) -> np.ndarray:
-    """Per-species identifiability flags, computed per connected component.
-
-    The ones row is appended within each component's subproblem: any global
-    null vector restricted to a component is a null vector of that component's
-    augmented matrix, so flags agree with the whole-matrix computation.
-    """
+    """Per-species identifiability flags, from :func:`analyze`."""
     return analyze(A, tol=tol, flag_tol=flag_tol).partial_flags
 
 
@@ -200,32 +176,28 @@ def analyze(A: ReadSamplingMatrix, tol: float = SV_TOL,
             flag_tol: float = FLAG_TOL) -> IdentifiabilityReport:
     """Full report: rank, per-species flags, null-space dimension.
 
-    Components with more than ``COMPONENT_CAP`` columns take the Gram path,
-    and ``method`` then ends in ``+gram_approx``.
+    :func:`null_space_flags_from_gram` runs on each connected component's
+    dense block of the cached Gram ``A.gram``, with the component's columns
+    of A to refine its null basis. Components share no rows, so A's null
+    space is the direct sum of theirs: their ranks add up to A's, and each
+    species' flag is the one its component gives. Raises ValueError when the
+    largest multi-column component exceeds ``GRAM_CAP`` columns.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     n = A.n_species
+    groups = decompose_components(A)
+    check_gram_cap(groups, GRAM_CAP)
+    gram = A.gram
     flags = np.zeros(n, dtype=bool)
     total_rank = 0
-    approximate = False
-    groups = decompose_components(A)
     for cols in groups:
-        if len(cols) <= COMPONENT_CAP:
-            dense = _augmented_dense(A.matrix, cols)
-            comp_flags, comp_rank, _ = null_space_flags(dense, tol, flag_tol)
-        else:
-            # Gram path for oversized components; flagged approximate below.
-            gram = A.gram[cols][:, cols].toarray() + 1.0
-            comp_flags, comp_rank = null_space_flags_from_gram(gram, tol, flag_tol)
-            approximate = True
+        # a single nonzero column is full rank: it has no null basis to refine
+        sub = A.matrix[:, cols] if len(cols) > 1 else None
+        comp_flags, comp_rank = null_space_flags_from_gram(
+            gram[cols][:, cols].toarray(), tol, flag_tol, matrix=sub)
         flags[cols] = comp_flags
         total_rank += comp_rank
-    # components never share rows, so ranks (of the per-component augmented
-    # blocks) add up to the rank of the globally augmented matrix
-    method = "component_decomposed" if len(groups) > 1 else "dense_svd"
-    if approximate:
-        method += "+gram_approx"
     return IdentifiabilityReport(
         identifiable=total_rank == n,
         rank=total_rank,
@@ -233,7 +205,6 @@ def analyze(A: ReadSamplingMatrix, tol: float = SV_TOL,
         partial_flags=flags,
         null_space_dim=n - total_rank,
         tolerance=tol,
-        method=method,
     )
 
 

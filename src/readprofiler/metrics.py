@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .identifiability import decompose_components
+from .identifiability import GRAM_CAP, check_gram_cap, decompose_components
 from .read_matrix import FrequencyVector, ReadSamplingMatrix
 
 LAMBDA_TOL = 1e-12
-GRAM_CAP = 20_000
 
 
 def _values(x) -> np.ndarray:
@@ -81,9 +80,7 @@ def gram_lambda_min(A: ReadSamplingMatrix) -> float:
     columns.
     """
     groups = decompose_components(A)
-    largest = max((len(cols) for cols in groups if len(cols) > 1), default=0)
-    if largest > GRAM_CAP:
-        raise ValueError(f"component of {largest} species exceeds the dense Gram cap {GRAM_CAP}")
+    check_gram_cap(groups, GRAM_CAP)
     gram = A.gram
     lams = gram.diagonal()[np.array([cols[0] for cols in groups], dtype=np.intp)]
     for i, cols in enumerate(groups):

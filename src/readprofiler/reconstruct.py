@@ -199,7 +199,7 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
                 if not full_rank:
                     # species not pinned down by their block survive to a
                     # larger joint solve
-                    flags, _ = null_space_flags_from_gram(G + 1.0)
+                    flags, _ = null_space_flags_from_gram(G)
                     local |= ~flags
                 marked[pos] |= local
         survivors = active[marked]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from readprofiler import identifiability
 from readprofiler.cli import main
 from readprofiler.sequence_db import parse_fasta
 
@@ -88,6 +89,12 @@ class TestPipelineCommands:
         data = json.loads(out.read_text())
         assert "scan" in data and "at_read_length" in data
         assert len(data["at_read_length"]["partial_flags"]) == 30
+
+    def test_identifiability_over_gram_cap_exits_2(self, pipeline_dir, monkeypatch):
+        monkeypatch.setattr(identifiability, "GRAM_CAP", 1)
+        assert run("identifiability", "--db", str(pipeline_dir / "db.fasta"),
+                   "--at-L", "2", "--out", str(pipeline_dir / "x.json")) == 2
+        assert not (pipeline_dir / "x.json").exists()
 
     def test_identifiability_requires_a_mode(self, pipeline_dir):
         assert run("identifiability", "--db", str(pipeline_dir / "db.fasta"),

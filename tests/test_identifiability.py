@@ -12,11 +12,10 @@ from readprofiler.identifiability import (
     diagonal_block_full_rank,
     find_substring_pairs,
     is_identifiable,
-    null_space_flags,
     null_space_flags_from_gram,
     partially_identifiable,
 )
-from readprofiler.read_matrix import build_matrix
+from readprofiler.read_matrix import ReadSamplingMatrix, build_matrix
 from readprofiler.sequence_db import SequenceDatabase
 
 
@@ -24,10 +23,24 @@ def db_of(*seqs):
     return SequenceDatabase.from_sequences(list(seqs))
 
 
+def full_svd_reference(dense, tol=1e-10, flag_tol=1e-8):
+    """Flags, rank and null dimension from the full SVD (an m x m U)."""
+    m, n = dense.shape
+    _, sv, vt = scipy.linalg.svd(dense, full_matrices=True)
+    rank = int(np.count_nonzero(sv > tol * sv[0] * max(m, n)))
+    null_basis = vt[rank:]
+    if null_basis.shape[0] == 0:
+        return np.ones(n, dtype=bool), rank, 0
+    return np.linalg.norm(null_basis, axis=0) <= flag_tol, rank, n - rank
+
+
 def dense_flags_oracle(A, tol=1e-10):
-    """Whole-matrix oracle: SVD of the full augmented dense matrix."""
+    """Whole-matrix oracle: flags and rank from the full SVD of the dense
+    matrix with an all-ones row appended. A's columns sum to one, so the row
+    changes neither; comparing with it also checks that."""
     dense = np.vstack([A.matrix.toarray(), np.ones(A.n_species)])
-    return null_space_flags(dense, tol=tol)[0]
+    flags, rank, _ = full_svd_reference(dense, tol=tol)
+    return flags, rank
 
 
 class TestIsIdentifiable:
@@ -64,11 +77,9 @@ class TestPartialIdentifiability:
 
     def test_null_space_is_difference_vector(self):
         A = build_matrix(db_of("AACA", "ACAA", "GGGG"), 2)
-        dense = np.vstack([A.matrix.toarray(), np.ones(3)])
-        _, _, null_dim = null_space_flags(dense)
-        assert null_dim == 1
+        assert analyze(A).null_space_dim == 1
         diff = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
-        assert np.linalg.norm(dense @ diff) <= 1e-12
+        assert np.linalg.norm(A.matrix @ diff) <= 1e-12
 
     def test_full_read_length_substring_free(self):
         db = db_of("ACGTAG", "TTGCAT", "GGATCC")
@@ -87,7 +98,7 @@ class TestPartialIdentifiability:
             ident, _ = is_identifiable(A)
             flags = partially_identifiable(A)
             assert ident == flags.all()
-            np.testing.assert_array_equal(flags, dense_flags_oracle(A))
+            np.testing.assert_array_equal(flags, dense_flags_oracle(A)[0])
 
     def test_column_permutation_equivariance(self):
         seqs = ["AACA", "ACAA", "GGGG", "TTAG"]
@@ -117,18 +128,22 @@ class TestComponents:
                 seqs.add("".join("ACGT"[d] for d in rng.integers(0, 4, 10)))
             A = build_matrix(db_of(*sorted(seqs)), 4)
             np.testing.assert_array_equal(partially_identifiable(A),
-                                          dense_flags_oracle(A))
+                                          dense_flags_oracle(A)[0])
 
     def test_gram_path_matches_svd_path(self):
         A = build_matrix(db_of("AACA", "ACAA", "GGGG", "TTAG"), 2)
-        dense = np.vstack([A.matrix.toarray(), np.ones(4)])
-        svd_flags, rank = null_space_flags(dense)[0], null_space_flags(dense)[1]
-        gram = dense.T @ dense
-        gram_flags, gram_rank = null_space_flags_from_gram(gram)
-        np.testing.assert_array_equal(gram_flags, svd_flags)
-        assert gram_rank == rank
+        dense = A.matrix.toarray()
+        svd_flags, svd_rank = dense_flags_oracle(A)
+        assert not svd_flags.all() and svd_flags.any()
+        # with and without the all-ones row the SVD oracle carries
+        for M in (dense.T @ dense, dense.T @ dense + 1.0, A.gram.toarray()):
+            gram_flags, gram_rank = null_space_flags_from_gram(M)
+            np.testing.assert_array_equal(gram_flags, svd_flags)
+            assert gram_rank == svd_rank
 
     def test_component_cap_switches_to_gram_path(self, monkeypatch):
+        # With no SVD path left, every component at or under GRAM_CAP goes
+        # through the Gram kernel, and one past it is refused
         rng = np.random.default_rng(3)
         dbs = [db_of("AACA", "ACAA", "GGGG", "TTAG")]
         for _ in range(4):
@@ -139,16 +154,32 @@ class TestComponents:
         mixed = 0
         for db, read_len in ((db, L) for db in dbs for L in (2, 3)):
             A = build_matrix(db, read_len)
-            svd = analyze(A)
-            monkeypatch.setattr(identifiability, "COMPONENT_CAP", 1)
-            gram = analyze(A)
+            largest = max(len(cols) for cols in decompose_components(A))
+            monkeypatch.setattr(identifiability, "GRAM_CAP", largest)
+            report = analyze(A)
+            ref_flags, ref_rank = dense_flags_oracle(A)
+            np.testing.assert_array_equal(report.partial_flags, ref_flags)
+            assert report.rank == ref_rank
+            if largest > 1:
+                monkeypatch.setattr(identifiability, "GRAM_CAP", largest - 1)
+                with pytest.raises(ValueError, match=f"cap {largest - 1}"):
+                    analyze(A)
             monkeypatch.undo()
-            assert not svd.method.endswith("+gram_approx")
-            assert gram.method.endswith("+gram_approx")
-            np.testing.assert_array_equal(gram.partial_flags, svd.partial_flags)
-            assert gram.rank == svd.rank
-            mixed += 0 < svd.partial_flags.sum() < len(db)
+            mixed += 0 < ref_flags.sum() < len(db)
         assert mixed >= 3
+
+    def test_component_over_gram_cap_rejected(self, monkeypatch):
+        A = build_matrix(db_of("AACA", "ACAA", "CAAC", "GGTT", "TTTT", "CGCG"), 2)
+        sizes = [len(cols) for cols in decompose_components(A)]
+        largest = max(sizes)
+        assert 1 < largest < A.n_species and sizes.count(1) >= 1
+        monkeypatch.setattr(identifiability, "GRAM_CAP", largest)
+        np.testing.assert_array_equal(analyze(A).partial_flags, dense_flags_oracle(A)[0])
+        monkeypatch.setattr(identifiability, "GRAM_CAP", largest - 1)
+        with pytest.raises(ValueError, match=f"cap {largest - 1}"):
+            analyze(A)
+        with pytest.raises(ValueError, match=f"cap {largest - 1}"):
+            is_identifiable(A)
 
     def test_gram_full_rank_certificate_matches_eigh_rule(self, monkeypatch):
         def eigh_reference(M, tol=1e-10, flag_tol=1e-8):
@@ -170,18 +201,22 @@ class TestComponents:
 
         monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
         rng = np.random.default_rng(5)
-        certified_full_rank = 0
-        for trial in range(120):
-            n = int(rng.integers(2, 40))
-            A = sp.random(int(rng.integers(n, 4 * n)), n, density=0.3,
+        # sparse blocks of DnC's sizes last, full rank and then duplicated:
+        # there trace(M) is over 100 times ||M||_2, past where a shift scaled
+        # by ||M||_inf covers the Cholesky backward error
+        sizes = [int(rng.integers(2, 40)) for _ in range(120)] + [700, 1000] * 2
+        certified_full_rank = certified_large = 0
+        for trial, n in enumerate(sizes):
+            A = sp.random(int(rng.integers(n, 4 * n)), n,
+                          density=0.3 if n < 700 else 0.005,
                           random_state=rng, format="csc")
             A = A.toarray()
             A[:, A.sum(axis=0) == 0] = 1.0
             A /= A.sum(axis=0)
-            duplicated = trial % 3 == 0
+            duplicated = trial % 3 == 0 if n < 700 else trial >= 122
             if duplicated:
                 A[:, -1] = A[:, 0]
-            M = A.T @ A + 1.0
+            M = A.T @ A
             M *= 10.0 ** rng.uniform(-6, 0)
             before = M.copy()
             eigh_calls.clear()
@@ -195,7 +230,8 @@ class TestComponents:
                 assert not certified and rank < n
             else:
                 certified_full_rank += certified
-        assert certified_full_rank >= 1
+                certified_large += certified and n >= 700
+        assert certified_full_rank >= 1 and certified_large == 2
 
 
 class TestComponentsFromGram:
@@ -223,6 +259,9 @@ class TestComponentsFromGram:
             cases.append((db_of(*sorted(set(family))), (4, 6, 8)[trial % 3]))
             short = {seq(int(rng.integers(3, 12))) for _ in range(25)}
             cases.append((db_of(*sorted(short)), 8))   # uniform tails up to 5 long
+        # random species at L=20 share no window: every component a singleton
+        singletons = db_of(*sorted({seq(30) for _ in range(200)}))
+        cases.append((singletons, 20))
         split = 0
         for db, read_len in cases:
             A = build_matrix(db, read_len)
@@ -233,28 +272,29 @@ class TestComponentsFromGram:
                 np.testing.assert_array_equal(got, want)
             split += 1 < len(groups) < A.n_species
         assert split >= 5
+        assert len(decompose_components(build_matrix(singletons, 20))) == len(singletons)
 
 
 class TestDiagonalBlockShortcut:
     @staticmethod
     def shift(d):
-        """Certificate shift of diag(d) + 11' at the default tolerance."""
+        """Certificate shift of diag(d) at the default tolerance."""
         n = len(d)
-        return 1e3 * max((1e-10 * n) ** 2, 1e-13) * (d.max() + n)
+        return 1e3 * max((1e-10 * n) ** 2, 1e-13) * d.sum()
 
     def test_fires_only_where_screen_finds_full_rank(self):
         rng = np.random.default_rng(17)
         fired = declined = 0
         for trial in range(60):
             n = int((2, 3, 7, 40, 300, 1000, 1200)[trial % 7])
-            d = 10.0 ** rng.uniform(rng.uniform(-9, -5), 0, n)
+            d = 10.0 ** rng.uniform(rng.uniform(-12, -8), 0, n)
             verdict = diagonal_block_full_rank(sp.diags(d).tocsr())
             assert verdict == (d.min() > self.shift(d))
             if not verdict:
                 declined += 1
                 continue
             fired += 1
-            M = np.diag(d) + 1.0
+            M = np.diag(d)
             flags, rank = null_space_flags_from_gram(M)
             assert flags.all() and rank == n
             evals = scipy.linalg.eigvalsh(M)
@@ -283,17 +323,6 @@ class TestDiagonalBlockShortcut:
 
 
 class TestNullSpaceFlagsKernel:
-    @staticmethod
-    def full_svd_reference(dense, tol=1e-10, flag_tol=1e-8):
-        """Flags, rank and null dimension from the full SVD (an m x m U)."""
-        m, n = dense.shape
-        _, sv, vt = scipy.linalg.svd(dense, full_matrices=True)
-        rank = int(np.count_nonzero(sv > tol * sv[0] * max(m, n)))
-        null_basis = vt[rank:]
-        if null_basis.shape[0] == 0:
-            return np.ones(n, dtype=bool), rank, 0
-        return np.linalg.norm(null_basis, axis=0) <= flag_tol, rank, n - rank
-
     def test_matches_full_svd_oracle(self):
         rng = np.random.default_rng(11)
         seen = {"tall": 0, "square": 0, "wide": 0, "deficient": 0, "mixed": 0}
@@ -313,14 +342,42 @@ class TestNullSpaceFlagsKernel:
                 dup = rng.choice(n, size=2, replace=False)
                 A[:, dup[1]] = A[:, dup[0]]
             dense = np.vstack([A, np.ones((1, n))])
-            flags, rank, null_dim = null_space_flags(dense)
-            ref_flags, ref_rank, ref_null_dim = self.full_svd_reference(dense)
+            flags, rank = null_space_flags_from_gram(dense.T @ dense)
+            null_dim = dense.shape[1] - rank
+            ref_flags, ref_rank, ref_null_dim = full_svd_reference(dense)
             np.testing.assert_array_equal(flags, ref_flags)
             assert (rank, null_dim) == (ref_rank, ref_null_dim)
             seen[shape] += 1
             seen["deficient"] += null_dim > 0
             seen["mixed"] += 0 < flags.sum() < n
         assert min(seen.values()) >= 5, seen
+
+    def test_refined_flags_match_full_svd_oracle(self):
+        # a near-duplicate pair puts a kept eigenvalue of G at 1e-10..1e-8 of
+        # the largest, where the eigh null basis errs by more than FLAG_TOL;
+        # an exact duplicate pair gives the null space. Zero rows test that
+        # analyze restricts A to the rows a component touches.
+        rng = np.random.default_rng(23)
+        unrefined_wrong = 0
+        for trial in range(60):
+            n = int(rng.integers(4, 30))
+            m = int(rng.integers(n // 2 + 2, 2 * n + 4))
+            dense = sp.random(m, n, density=0.4, random_state=rng).toarray()
+            dense[:, dense.sum(axis=0) == 0] = 1.0
+            i, j, k, l = rng.choice(n, 4, replace=False)
+            dense[:, j] = dense[:, i] + 10.0 ** rng.uniform(-5, -4) * rng.random(m)
+            dense[:, l] = dense[:, k]
+            dense /= dense.sum(axis=0)
+            dense = np.insert(dense, rng.integers(0, m + 1, 3), 0.0, axis=0)
+            A = ReadSamplingMatrix(3, sp.csc_matrix(dense), list(range(m + 3)),
+                                   np.full(n, 10))
+            report = analyze(A)
+            ref_flags, ref_rank = dense_flags_oracle(A)
+            np.testing.assert_array_equal(report.partial_flags, ref_flags)
+            assert report.rank == ref_rank < n
+            unrefined = null_space_flags_from_gram(A.gram.toarray())[0]
+            unrefined_wrong += (unrefined != ref_flags).any()
+        assert unrefined_wrong >= 5
 
 
 class TestCriticalReadLengthScan:

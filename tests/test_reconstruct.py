@@ -189,7 +189,7 @@ class TestDivideAndConquer:
 def reference_dnc(A, y, params):
     """The per-block loop DnC ran before block Grams were sliced from
     ``A.gram``: every block slices all K rows of A, forms sub'sub and sub'y,
-    and screens ``G + 1`` whatever its pattern."""
+    and screens G whatever its pattern."""
     y = np.asarray(y, dtype=float).ravel()
     m = A.matrix
     n = A.n_species
@@ -216,7 +216,7 @@ def reference_dnc(A, y, params):
                 unconverged += not sol.converged
                 local = sol.x >= params.tau
                 if len(cols) > 1:
-                    local |= ~null_space_flags_from_gram(G + 1.0)[0]
+                    local |= ~null_space_flags_from_gram(G)[0]
                 marked[pos] |= local
         survivors = active[marked]
         iterations.append(IterationStats(iteration, len(active), len(survivors),
