@@ -15,7 +15,16 @@ from pathlib import Path
 import numpy as np
 
 from .read_matrix import FrequencyVector, ReadSamplingMatrix, reweight_to_dna
-from .sequence_db import MAX_CODE_LENGTH, SequenceDatabase, lex_decode, lex_encode
+from .sequence_db import (
+    MAX_CODE_LENGTH,
+    KmerIndex,
+    SequenceDatabase,
+    base_digits,
+    keys_to_codes,
+    kmer_keys,
+    lex_decode,
+    lex_encode,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -166,19 +175,16 @@ def read_counts_from_reads(path, read_length: int) -> ReadCounts:
         reads = _fastq_sequences(lines, path)
     else:
         reads = [ln for ln in lines if ln.strip()]
-    counts: dict[int, int] = {}
-    short = invalid = 0
-    for read in reads:
-        read = read.strip().upper()
-        if len(read) < read_length:
-            short += 1
-            continue
-        try:
-            code = lex_encode(read[:read_length])
-        except ValueError:  # the length is in range, so a base outside ACGT
-            invalid += 1
-            continue
-        counts[code] = counts.get(code, 0) + 1
+    reads = [read.strip().upper() for read in reads]
+    usable = [read[:read_length] for read in reads if len(read) >= read_length]
+    short = len(reads) - len(usable)
+    digits = base_digits("".join(usable))
+    valid = (digits.reshape(len(usable), read_length) <= 3).all(axis=1)
+    invalid = len(usable) - int(valid.sum())
+    # masked, so that an invalid base cannot spill into a valid read's key
+    keys = kmer_keys(digits & 3, read_length, np.flatnonzero(valid) * read_length)
+    index, rows = KmerIndex.first_seen(keys)
+    counts = dict(zip(keys_to_codes(index.keys), np.bincount(rows).tolist()))
     if short:
         logger.warning("skipped %d reads shorter than %d", short, read_length)
     if invalid:
@@ -213,9 +219,13 @@ def simulate_reads(A: ReadSamplingMatrix, x: FrequencyVector, n_reads: int,
     species = np.searchsorted(cum, u, side="right")
 
     m = A.matrix
+    per_species = np.bincount(species, minlength=A.n_species)
+    # a stable sort keeps each species' draws in order; 16-bit labels sort by radix
+    by_species = np.argsort(species.astype(np.min_scalar_type(A.n_species)), kind="stable")
     chosen_rows = np.empty(n_reads, dtype=np.int64)
-    for b in np.unique(species):
-        sel = species == b
+    stop = np.cumsum(per_species)
+    for b in np.flatnonzero(per_species):
+        sel = by_species[stop[b] - per_species[b]:stop[b]]
         start, end = m.indptr[b], m.indptr[b + 1]
         if start == end:
             raise ValueError(f"species column {b} is empty")
@@ -224,8 +234,9 @@ def simulate_reads(A: ReadSamplingMatrix, x: FrequencyVector, n_reads: int,
         idx = np.searchsorted(col_cum, v[sel], side="right")
         chosen_rows[sel] = m.indices[start + idx]
 
-    rows, cnts = np.unique(chosen_rows, return_counts=True)
-    counts = {A.row_codes[int(r)]: int(c) for r, c in zip(rows, cnts)}
+    per_row = np.bincount(chosen_rows)
+    rows = np.flatnonzero(per_row)
+    counts = dict(zip(A.codes_of(rows), per_row[rows].tolist()))
     return ReadCounts(counts, A.read_length, n_reads, seed=seed)
 
 
@@ -247,13 +258,12 @@ def empirical_frequencies(rc: ReadCounts, A: ReadSamplingMatrix) -> EmpiricalFre
         raise ValueError(
             f"read length mismatch: counts at L={rc.read_length}, matrix at L={A.read_length}"
         )
+    codes = list(rc.counts)
+    counts = np.fromiter(rc.counts.values(), dtype=np.int64, count=len(codes))
+    rows = A.rows_of(codes)
+    hit = rows >= 0
     y = np.zeros(A.n_rows)
-    unmapped = 0
-    for code, c in rc.counts.items():
-        rid = A.code_to_row.get(code)
-        if rid is None:
-            unmapped += c
-        else:
-            y[rid] = c / rc.total
+    y[rows[hit]] = counts[hit] / rc.total
+    unmapped = int(counts[~hit].sum())
     mapped = rc.total - unmapped
     return EmpiricalFrequencies(y, unmapped / rc.total, mapped, unmapped, rc.total)

@@ -17,7 +17,15 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .sequence_db import MAX_CODE_LENGTH, SequenceDatabase, lex_encode, window_codes
+from .sequence_db import (
+    MAX_CODE_LENGTH,
+    KmerIndex,
+    SequenceDatabase,
+    base_digits,
+    codes_to_keys,
+    keys_to_codes,
+    kmer_keys,
+)
 
 COLUMN_SUM_TOL = 1e-12
 SIMPLEX_TOL = 1e-12
@@ -66,8 +74,10 @@ class FrequencyVector:
 
 
 class ReadSamplingMatrix:
-    """Compacted K x N read-sampling matrix with its row-code index.
+    """Compacted K x N read-sampling matrix with its k-mer row index.
 
+    The rows are indexed by packed k-mer keys (a :class:`KmerIndex`);
+    decimal ``lex_encode`` codes appear only in files and in read counts.
     The matrix is immutable after construction: :attr:`gram` caches A'A on
     first use, and every consumer reads that one product.
     """
@@ -84,32 +94,55 @@ class ReadSamplingMatrix:
         col_lengths: np.ndarray,
         tail_convention: str = TAIL_CONVENTION,
     ):
-        self._set_fields(read_length, matrix, row_codes, col_lengths, tail_convention)
-        self.code_to_row = {code: i for i, code in enumerate(self.row_codes)}
+        self._set_fields(read_length, matrix, len(row_codes), col_lengths, tail_convention)
+        self._codes = tuple(row_codes)
+        self._index: KmerIndex | None = None
 
     @classmethod
-    def _from_row_index(cls, read_length: int, matrix: sp.csc_matrix,
-                        code_to_row: dict[int, int], col_lengths: np.ndarray
-                        ) -> "ReadSamplingMatrix":
-        """Adopt ``code_to_row``, whose keys are the row codes in row order
-        (as :func:`build_matrix` fills it), instead of rebuilding the index."""
+    def _from_index(cls, read_length: int, matrix: sp.csc_matrix, index: KmerIndex,
+                    col_lengths: np.ndarray) -> "ReadSamplingMatrix":
+        """Adopt ``index``, whose keys are the rows in row order."""
         out = cls.__new__(cls)
-        out._set_fields(read_length, matrix, code_to_row, col_lengths, TAIL_CONVENTION)
-        out.code_to_row = code_to_row
+        out._set_fields(read_length, matrix, len(index.keys), col_lengths, TAIL_CONVENTION)
+        out._codes = None
+        out._index = index
         return out
 
-    def _set_fields(self, read_length, matrix, row_codes, col_lengths, tail_convention):
-        if matrix.shape[0] != len(row_codes):
+    def _set_fields(self, read_length, matrix, n_codes, col_lengths, tail_convention):
+        if matrix.shape[0] != n_codes:
             raise ValueError("row_codes length disagrees with matrix rows")
         if matrix.shape[1] != len(col_lengths):
             raise ValueError("col_lengths length disagrees with matrix columns")
         self.read_length = read_length
         self.matrix = matrix.tocsc()
         self.matrix.sort_indices()
-        self.row_codes = list(row_codes)
         self.col_lengths = np.asarray(col_lengths, dtype=np.int64)
         self.tail_convention = tail_convention
         self._gram: sp.csr_matrix | None = None
+
+    @property
+    def index(self) -> KmerIndex:
+        """The (K, W) packed row keys and their lookup. A matrix made from
+        row codes derives them once, on first use."""
+        if self._index is None:
+            self._index = KmerIndex(codes_to_keys(self._codes, self.read_length))
+        return self._index
+
+    @property
+    def row_codes(self) -> tuple[int, ...]:
+        """The ``lex_encode`` code of each row, derived from the keys once
+        and cached. Only the file boundary needs all of them."""
+        if self._codes is None:
+            self._codes = tuple(keys_to_codes(self.index.keys))
+        return self._codes
+
+    def rows_of(self, codes) -> np.ndarray:
+        """Row of each ``lex_encode`` code, or -1 for a k-mer with no row."""
+        return self.index.rows_of(codes_to_keys(codes, self.read_length))
+
+    def codes_of(self, rows) -> list[int]:
+        """The ``lex_encode`` codes of the given rows."""
+        return keys_to_codes(self.index.keys[rows])
 
     @property
     def gram(self) -> sp.csr_matrix:
@@ -177,7 +210,9 @@ class ReadSamplingMatrix:
         rows = coo.row[order].astype(np.int64)
         cols = coo.col[order].astype(np.int64)
         vals = coo.data[order].astype(np.float64)
-        codes_blob = "\n".join(str(c) for c in self.row_codes).encode()
+        # a matrix written once need not keep K big ints: convert, don't cache
+        codes = self._codes if self._codes is not None else keys_to_codes(self.index.keys)
+        codes_blob = "\n".join(map(str, codes)).encode()
         payload = (
             rows.tobytes() + cols.tobytes() + vals.tobytes()
             + self.col_lengths.astype(np.int64).tobytes() + codes_blob
@@ -213,12 +248,14 @@ class ReadSamplingMatrix:
         vals = np.frombuffer(payload, dtype=np.float64, count=nnz, offset=off); off += 8 * nnz
         col_lengths = np.frombuffer(payload, dtype=np.int64, count=n, offset=off); off += 8 * n
         codes_blob = payload[off:]
-        row_codes = [int(tok) for tok in codes_blob.decode().split("\n")] if codes_blob else []
+        row_codes = list(map(int, codes_blob.decode().split("\n"))) if codes_blob else []
         matrix = sp.csc_matrix(
             (vals, (rows, cols)), shape=(header["n_rows"], n)
         )
-        return cls(header["read_length"], matrix, row_codes, col_lengths,
-                   header["tail_convention"])
+        out = cls(header["read_length"], matrix, row_codes, col_lengths,
+                  header["tail_convention"])
+        out.index                   # build the row lookup now, not at the first read
+        return out
 
 
 def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
@@ -234,48 +271,50 @@ def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
     if len(db) == 0:
         raise ValueError("cannot build a matrix from an empty database")
 
-    code_to_row: dict[int, int] = {}     # insertion order is row order
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    n_species = len(db)
+    lengths = np.array(db.lengths, dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    digits = base_digits("".join(rec.sequence for rec in db.records))
+    bad = np.flatnonzero(digits > 3)
+    if bad.size:
+        j = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+        rec = db.records[j]
+        raise ValueError(f"species {rec.id} ({rec.label!r}): invalid character "
+                         f"{rec.sequence[bad[0] - offsets[j]]!r} (expected one of ACGT)")
 
-    def row_id(code: int) -> int:
-        rid = code_to_row.get(code)
-        if rid is None:
-            rid = code_to_row[code] = len(code_to_row)
-        return rid
-
-    for j, rec in enumerate(db.records):
-        n = rec.length
-        if n >= read_length:
-            denom = n - read_length + 1
-            counts: dict[int, int] = {}
-            for code in window_codes(rec.sequence, read_length):
-                counts[code] = counts.get(code, 0) + 1
-            for code, c in counts.items():
-                rows.append(row_id(code))
-                cols.append(j)
-                vals.append(c / denom)
-        else:
-            tail_len = read_length - n
+    # reads per column: every window of a species at least read_length long,
+    # in column order; a shorter species' tails are filled in below
+    n_reads = np.maximum(lengths - read_length + 1, 0)
+    firsts = np.cumsum(n_reads) - n_reads
+    starts = np.arange(n_reads.sum()) + np.repeat(offsets - firsts, n_reads)
+    keys = kmer_keys(digits, read_length, starts)
+    tails = np.flatnonzero(n_reads == 0)
+    if tails.size:
+        blocks = np.split(keys, firsts[1:])
+        for j in tails:
+            tail_len = read_length - int(lengths[j])
             if tail_len > MAX_TAIL_LENGTH:
+                rec = db.records[j]
                 raise ValueError(
                     f"species {rec.id} ({rec.label!r}): read length exceeds sequence "
                     f"length by {tail_len} > {MAX_TAIL_LENGTH}; tail expansion refused"
                 )
-            prob = 4.0 ** (-tail_len)
-            base = (lex_encode(rec.sequence) - 1) * (4 ** tail_len)
-            for t in range(4 ** tail_len):
-                rows.append(row_id(base + t + 1))
-                cols.append(j)
-                vals.append(prob)
+            # the sequence, then every tail; the tail fits in the last word
+            head = base_digits(db.records[j].sequence + "A" * tail_len)
+            n_reads[j] = 4 ** tail_len
+            blocks[j] = np.repeat(kmer_keys(head, read_length, [0]), n_reads[j], axis=0)
+            blocks[j][:, -1] |= np.arange(n_reads[j], dtype=np.uint64)
+        keys = np.concatenate(blocks)
 
-    matrix = sp.csc_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))),
-        shape=(len(code_to_row), len(db)),
-    )
-    out = ReadSamplingMatrix._from_row_index(read_length, matrix, code_to_row,
-                                             np.array(db.lengths))
+    index, rows = KmerIndex.first_seen(keys)
+    del keys
+    n_rows = len(index.keys)
+    entry, count = np.unique(np.repeat(np.arange(n_species), n_reads) * n_rows + rows,
+                             return_counts=True)
+    cols, rows = np.divmod(entry, n_rows)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_species))])
+    matrix = sp.csc_matrix((count / n_reads[cols], rows, indptr), shape=(n_rows, n_species))
+    out = ReadSamplingMatrix._from_index(read_length, matrix, index, lengths)
     bad = np.abs(out.column_sums() - 1.0) > COLUMN_SUM_TOL
     if np.any(bad):
         raise AssertionError(f"column sums off by more than {COLUMN_SUM_TOL}: {np.where(bad)[0]}")

@@ -1,4 +1,5 @@
-"""Reference sequence database: FASTA ingestion, dedup, and k-mer codes."""
+"""Reference sequence database: FASTA ingestion, dedup, k-mer codes and
+packed k-mer keys."""
 
 from __future__ import annotations
 
@@ -11,15 +12,20 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 logger = logging.getLogger(__name__)
 
 ALPHABET = "ACGT"
-_DIGIT = {"A": 0, "C": 1, "G": 2, "T": 3}
 _TO_DIGITS = str.maketrans("ACGT", "0123")
 _NON_ACGT = re.compile("[^ACGT]")
+_BYTE_DIGITS = bytes(ALPHABET.find(chr(b)) % 256 for b in range(256))   # else 255
+_FP_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)    # odd: 2^64 over the golden ratio
+_FP_SHIFT = np.uint64(29)
 
-#: Largest supported k-mer length. Codes are arbitrary-precision integers so
-#: there is no overflow; the cap only keeps per-code memory bounded.
+#: Largest supported k-mer length. Codes are arbitrary-precision integers and
+#: keys hold as many words as a length needs, so there is no overflow; the cap
+#: only keeps per-k-mer memory bounded.
 MAX_CODE_LENGTH = 512
 
 
@@ -61,23 +67,155 @@ def lex_decode(code: int, length: int) -> str:
     return "".join(reversed(out))
 
 
-def window_codes(sequence: str, length: int) -> Iterator[int]:
-    """Codes of every length-``length`` window, left to right.
+def key_words(length: int) -> int:
+    """Number of uint64 words in the packed key of a length-``length`` k-mer."""
+    return -(-length // 32)
 
-    Uses a rolling update so each step is O(1) big-int operations instead of
-    re-encoding the whole window.
+
+def base_digits(text: str) -> np.ndarray:
+    """One read-only uint8 per character of ``text``: 0-3 for A, C, G, T and
+    255 for anything else."""
+    # "replace" keeps one byte per character, so positions stay aligned
+    raw = text.encode("latin-1", "replace").translate(_BYTE_DIGITS)
+    return np.frombuffer(raw, dtype=np.uint8)
+
+
+def kmer_keys(digits: np.ndarray, length: int, starts) -> np.ndarray:
+    """Packed keys of the length-``length`` windows of ``digits`` that begin
+    at ``starts``, as a (len(starts), W) uint64 array, W = key_words(length).
+
+    ``digits`` holds base digits 0-3 (see :func:`base_digits`). Two bits per
+    base, most significant word first: a leading word holds the first
+    length - 32(W - 1) bases, each later word 32. Read as one number, a key
+    is lex_encode(window) - 1, so keys compared word by word sort as their
+    codes do.
     """
-    n = len(sequence)
-    if length < 1:
-        raise ValueError("window length must be >= 1")
-    if n < length:
-        raise ValueError(f"sequence length {n} shorter than window {length}")
-    top = 4 ** (length - 1)
-    v = lex_encode(sequence[:length]) - 1
-    yield v + 1
-    for k in range(1, n - length + 1):
-        v = (v - _DIGIT[sequence[k - 1]] * top) * 4 + _DIGIT[sequence[k + length - 1]]
-        yield v + 1
+    n_words = key_words(length)
+    lead = length - 32 * (n_words - 1)
+    starts = np.asarray(starts, dtype=np.int64)
+    if not len(starts):
+        return np.zeros((0, n_words), dtype=np.uint64)
+    if len(starts) * n_words >= len(digits):
+        # most positions start a word: the 32-mer code at every position, by
+        # doubling (codes of 2 bases from codes of 1, then 4, ... 32); the
+        # A-padding past the end reaches only bits the final shift drops
+        codes = np.concatenate([digits, np.zeros(31, dtype=np.uint8)]).astype(np.uint64)
+        for width in (1, 2, 4, 8, 16):
+            codes = (codes[:-width] << np.uint64(2 * width)) | codes[width:]
+        offsets = np.maximum(32 * np.arange(n_words) - 32 + lead, 0)
+        keys = codes[starts[:, None] + offsets]
+        keys[:, 0] >>= np.uint64(2 * (32 - lead))
+        return keys
+    # few, separate windows: copy out their bases behind A-padding up to
+    # whole words, and pack pairs of neighbours: 2 bases, 4, ... 32
+    words = np.zeros((len(starts), 32 * n_words), dtype=np.uint8)
+    words[:, 32 * n_words - length:] = np.lib.stride_tricks.sliding_window_view(
+        digits, length)[starts]
+    words = words.reshape(len(starts), n_words, 32)
+    for bits, dtype in ((2, np.uint8), (4, np.uint8), (8, np.uint16), (16, np.uint32),
+                        (32, np.uint64)):
+        words = (words[..., 0::2].astype(dtype) << dtype(bits)) | words[..., 1::2]
+    return words[..., 0]
+
+
+def keys_to_codes(keys: np.ndarray) -> list[int]:
+    """The :func:`lex_encode` code of each packed key."""
+    # each key's bytes least significant first: numpy's bytes view drops
+    # trailing zero bytes, which are then the high-order ones
+    raw = np.ascontiguousarray(keys[:, ::-1]).astype("<u8").view(f"S{8 * keys.shape[1]}")
+    return [int.from_bytes(b, "little") + 1 for b in raw.ravel().tolist()]
+
+
+def codes_to_keys(codes: Iterable[int], length: int) -> np.ndarray:
+    """Packed keys of :func:`lex_encode` codes of length-``length`` k-mers."""
+    codes = list(codes)
+    if codes and (min(codes) < 1 or max(codes) > 4 ** length):
+        raise ValueError(f"a code lies outside [1, 4^{length}]")
+    n_words = key_words(length)
+    raw = b"".join((c - 1).to_bytes(8 * n_words, "big") for c in codes)
+    return np.frombuffer(raw, dtype=">u8").astype(np.uint64).reshape(-1, n_words)
+
+
+def _fingerprint(keys: np.ndarray) -> np.ndarray:
+    """Multiplicative hash of each key's words (Knuth, TAOCP vol. 3, 6.4).
+    One-word keys never collide: each step is a bijection of uint64."""
+    fp = np.zeros(len(keys), dtype=np.uint64)
+    for w in range(keys.shape[1]):
+        fp ^= keys[:, w]
+        fp *= _FP_MULTIPLIER
+        fp ^= fp >> _FP_SHIFT
+    return fp
+
+
+class KmerIndex:
+    """Distinct packed k-mer keys, one row each, and a lookup sorted by
+    fingerprint. Equal words decide every match, never a fingerprint alone.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        """Index the rows of ``keys``, which must be distinct."""
+        fp = _fingerprint(keys)
+        order = np.argsort(fp)
+        self._adopt(keys, fp[order], order)
+
+    def _adopt(self, keys, sorted_fp, sorted_rows):
+        self.keys = keys
+        self._fp = sorted_fp
+        self._rows = sorted_rows
+
+    @classmethod
+    def first_seen(cls, keys: np.ndarray) -> tuple["KmerIndex", np.ndarray]:
+        """Index of the distinct rows of ``keys`` in first-seen order, and
+        the row of each key.
+
+        Sorting by fingerprint places equal keys side by side unless two
+        different keys share a fingerprint; then a sort by the words
+        themselves does.
+        """
+        fp = _fingerprint(keys)
+        order = np.argsort(fp)
+        sorted_fp = fp[order]
+        new = np.ones(len(keys), dtype=bool)
+        np.not_equal(sorted_fp[1:], sorted_fp[:-1], out=new[1:])
+        tie = np.flatnonzero(~new[1:])
+        shared = (keys[order[tie]] != keys[order[tie + 1]]).any()
+        if shared:
+            order = np.lexsort(keys.T[::-1])
+            grouped = keys[order]
+            new[1:] = (grouped[1:] != grouped[:-1]).any(axis=1)
+        starts = np.flatnonzero(new)
+        first = np.minimum.reduceat(order, starts)
+        group_row = np.empty(len(starts), dtype=np.int64)
+        group_row[np.argsort(first)] = np.arange(len(starts))
+        rows = np.empty(len(keys), dtype=np.int64)
+        rows[order] = group_row[np.cumsum(new) - 1]
+        distinct = keys if len(starts) == len(keys) else keys[np.sort(first)]
+        if shared:
+            return cls(distinct), rows
+        index = cls.__new__(cls)
+        index._adopt(distinct, sorted_fp[starts], group_row)
+        return index, rows
+
+    def rows_of(self, keys: np.ndarray) -> np.ndarray:
+        """Row of each key, or -1 where the index does not hold it."""
+        out = np.full(len(keys), -1, dtype=np.int64)
+        if not len(self._fp):
+            return out
+        fp = _fingerprint(keys)
+        by_fp = np.argsort(fp)
+        at = np.empty(len(keys), dtype=np.int64)
+        at[by_fp] = np.searchsorted(self._fp, fp[by_fp])     # sorted needles search fastest
+        np.minimum(at, len(self._fp) - 1, out=at)
+        q = np.flatnonzero(self._fp[at] == fp)
+        cand = self._rows[at[q]]
+        same = (self.keys[cand] == keys[q]).all(axis=1)
+        out[q[same]] = cand[same]
+        for i in q[~same]:          # other words under the first row of this fingerprint
+            cand = self._rows[at[i]:np.searchsorted(self._fp, fp[i], side="right")]
+            match = cand[(self.keys[cand] == keys[i]).all(axis=1)]
+            if len(match):
+                out[i] = match[0]
+        return out
 
 
 @dataclass(frozen=True)
@@ -231,13 +369,13 @@ def parse_fasta(path, uppercase: bool = True, drop_ambiguous: bool = False) -> S
             seq = seq.upper()
         if not seq:
             raise FastaError(f"{path}: empty sequence for record {label!r}")
-        if any(ch not in _DIGIT for ch in seq):
+        bad = _NON_ACGT.search(seq)
+        if bad:
             if drop_ambiguous:
                 dropped += 1
                 logger.warning("dropping record %r: ambiguous characters", label)
                 continue
-            bad = next(ch for ch in seq if ch not in _DIGIT)
-            raise AmbiguousBaseError(f"{path}: record {label!r} contains {bad!r}")
+            raise AmbiguousBaseError(f"{path}: record {label!r} contains {bad.group()!r}")
         if seq in seen:
             dedup_map[label] = seen[seq]
             continue

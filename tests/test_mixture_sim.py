@@ -204,3 +204,78 @@ class TestReadCountsIO:
         back = MixtureSpec.load(path)
         np.testing.assert_array_equal(back.support, mix.support)
         np.testing.assert_allclose(back.frequencies, mix.frequencies)
+
+
+class TestPackedKeyReadPaths:
+    """The read paths against the per-read big-int and dict loops they replace."""
+
+    @staticmethod
+    def reference_read_counts(reads, read_len):
+        counts, short, invalid = {}, 0, 0
+        for read in reads:
+            read = read.strip().upper()
+            if len(read) < read_len:
+                short += 1
+                continue
+            try:
+                code = lex_encode(read[:read_len])
+            except ValueError:
+                invalid += 1
+                continue
+            counts[code] = counts.get(code, 0) + 1
+        return counts, short, invalid
+
+    @pytest.mark.parametrize("read_len", [1, 2, 3, 31, 32, 33, 64, 65, 150])
+    def test_read_counts_match_per_read_loop(self, tmp_path, read_len):
+        rng = np.random.default_rng(read_len)
+        genome = "".join("ACGT"[d] for d in rng.integers(0, 4, 400))
+        reads = []
+        for _ in range(600):
+            start = int(rng.integers(0, 200))
+            read = genome[start:start + read_len + int(rng.integers(-3, 20))]
+            kind = rng.integers(0, 8)
+            if kind == 0 and read:                      # a base outside ACGT
+                p = int(rng.integers(0, len(read)))
+                read = read[:p] + str(rng.choice(["N", "ß", "é", "-", "ψ"])) + read[p + 1:]
+            elif kind == 1:
+                read = read.lower()
+            elif kind == 2:
+                read = "  " + read + "\t"
+            reads.append(read or "A")
+        reads += ["A" * (read_len + 2), "T" * read_len]
+        path = tmp_path / "reads.txt"
+        path.write_text("\n".join(reads) + "\n")
+        lines = path.read_text().rstrip().splitlines()
+        counts, short, invalid = self.reference_read_counts(
+            [ln for ln in lines if ln.strip()], read_len)
+        rc = read_counts_from_reads(path, read_len)
+        assert list(rc.counts.items()) == list(counts.items())
+        assert (rc.skipped_short, rc.skipped_invalid) == (short, invalid)
+        assert invalid and (short or read_len == 1)    # a kept line has a base
+
+    def test_simulate_and_map_match_mask_loop(self):
+        A = build_matrix(db_of("ACGTACGGTTACGATTGCA", "GGCATTGACCATGA", "TTTAGC", "CA"), 4)
+        mix = FrequencyVector([0.4, 0.3, 0.2, 0.1], "species", normalized=True)
+        for n_reads, seed in ((1, 1), (50, 2), (5000, 3)):
+            rc = simulate_reads(A, mix, n_reads, seed)
+            # the draws as simulate_reads made them, mapped species by species
+            rng = np.random.default_rng(seed)
+            u, v = rng.random(n_reads), rng.random(n_reads)
+            cum = np.cumsum(reweight_to_dna(mix, A.col_lengths).values)
+            cum[-1] = 1.0
+            species = np.searchsorted(cum, u, side="right")
+            m, chosen = A.matrix, np.empty(n_reads, dtype=np.int64)
+            for b in np.unique(species):
+                sel = species == b
+                col_cum = np.cumsum(m.data[m.indptr[b]:m.indptr[b + 1]])
+                col_cum[-1] = 1.0
+                chosen[sel] = m.indices[m.indptr[b] + np.searchsorted(col_cum, v[sel],
+                                                                      side="right")]
+            rows, cnts = np.unique(chosen, return_counts=True)
+            want = {A.row_codes[r]: int(c) for r, c in zip(rows, cnts)}
+            assert list(rc.counts.items()) == list(want.items())
+            y = np.zeros(A.n_rows)
+            code_to_row = {c: i for i, c in enumerate(A.row_codes)}
+            for code, c in rc.counts.items():
+                y[code_to_row[code]] = c / rc.total
+            assert np.array_equal(empirical_frequencies(rc, A).y, y)

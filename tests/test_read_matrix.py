@@ -1,12 +1,16 @@
+import hashlib
 import itertools
 import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from readprofiler import sequence_db
 from readprofiler.experiments import generate_random_db
+from readprofiler.metrics import gram_lambda_min
 from readprofiler.mixture_sim import empirical_frequencies, sample_power_law_mixture, \
     simulate_reads
 from readprofiler.read_matrix import (
@@ -152,16 +156,16 @@ class TestSerialization:
     ])
     def test_row_index_handed_over_intact(self, tmp_path, seqs, L):
         A = build_matrix(db_of(*seqs), L)
-        assert type(A.row_codes) is list
-        assert A.code_to_row == {c: i for i, c in enumerate(A.row_codes)}
+        np.testing.assert_array_equal(A.rows_of(A.row_codes), np.arange(A.n_rows))
         built, rebuilt = tmp_path / "built", tmp_path / "rebuilt"
         A.save(built)
         ReadSamplingMatrix(A.read_length, A.matrix, A.row_codes, A.col_lengths,
                            A.tail_convention).save(rebuilt)
         assert built.read_bytes() == rebuilt.read_bytes()
         B = ReadSamplingMatrix.load(built)
-        assert B.code_to_row == A.code_to_row
-        assert list(B.code_to_row) == list(A.code_to_row)
+        assert B.row_codes == A.row_codes
+        np.testing.assert_array_equal(B.index.keys, A.index.keys)
+        np.testing.assert_array_equal(B.rows_of(A.row_codes), np.arange(A.n_rows))
         B.save(tmp_path / "reloaded")
         assert (tmp_path / "reloaded").read_bytes() == built.read_bytes()
 
@@ -174,6 +178,146 @@ class TestSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="checksum"):
             ReadSamplingMatrix.load(path)
+
+
+_TRANS = str.maketrans("ACGT", "0123")
+_BASE = {"A": 0, "C": 1, "G": 2, "T": 3}
+
+
+def reference_build(db, read_len):
+    """The big-int and dict loop build_matrix ran before packed keys: row
+    codes in first-seen order, and the matrix from its COO triplets."""
+    code_to_row, rows, cols, vals = {}, [], [], []
+
+    def row_id(code):
+        return code_to_row.setdefault(code, len(code_to_row))
+
+    top = 4 ** (read_len - 1)
+    for j, rec in enumerate(db.records):
+        s, n = rec.sequence, rec.length
+        if n >= read_len:
+            v = int(s[:read_len].translate(_TRANS), 4)
+            counts = {v + 1: 1}
+            for k in range(1, n - read_len + 1):
+                v = (v - _BASE[s[k - 1]] * top) * 4 + _BASE[s[k + read_len - 1]]
+                counts[v + 1] = counts.get(v + 1, 0) + 1
+            for code, c in counts.items():
+                rows.append(row_id(code))
+                cols.append(j)
+                vals.append(c / (n - read_len + 1))
+        else:
+            tail_len = read_len - n
+            base = int(s.translate(_TRANS), 4) * 4 ** tail_len
+            for t in range(4 ** tail_len):
+                rows.append(row_id(base + t + 1))
+                cols.append(j)
+                vals.append(4.0 ** -tail_len)
+    matrix = sp.csc_matrix((np.array(vals), (np.array(rows), np.array(cols))),
+                           shape=(len(code_to_row), len(db)))
+    return ReadSamplingMatrix(read_len, matrix, list(code_to_row), np.array(db.lengths))
+
+
+def assert_same_matrix(A, ref, tmp_path):
+    for attr in ("data", "indices", "indptr"):
+        got, want = getattr(A.matrix, attr), getattr(ref.matrix, attr)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert A.row_codes == ref.row_codes
+    A.save(tmp_path / "got")
+    ref.save(tmp_path / "want")
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
+WORD_EDGES = (1, 2, 31, 32, 33, 63, 64, 65, 100, 150, 512)
+
+
+def oracle_databases():
+    """Seeded databases at lengths across the 32-base word edges, with
+    uniform-tail species, repeated windows, and all-A and all-T words."""
+    rng = np.random.default_rng(20261018)
+    for case in range(121):
+        L = WORD_EDGES[case % len(WORD_EDGES)]
+        seqs = []
+        for _ in range(int(rng.integers(1, 6))):
+            kind = rng.integers(0, 6)
+            n = L + int(rng.integers(0, 40))
+            if kind == 0 and L > 4:                     # uniform tail
+                n = L - int(rng.integers(1, 5))
+            if kind == 1:                               # repeated windows
+                motif = "".join("ACGT"[d] for d in rng.integers(0, 4, rng.integers(1, 5)))
+                seqs.append((motif * n)[:n])
+            elif kind == 2:                             # all-A / all-T words
+                seqs.append(str(rng.choice(["A", "T"])) * n)
+            elif kind == 3 and seqs:                    # windows shared with a species
+                s = seqs[int(rng.integers(0, len(seqs)))]
+                cut = int(rng.integers(0, len(s)))
+                seqs.append(s[cut:] + "".join("ACGT"[d] for d in rng.integers(0, 4, n)))
+            else:
+                seqs.append("".join("ACGT"[d] for d in rng.integers(0, 4, n)))
+        yield db_of(*dict.fromkeys(seqs)), L
+
+
+class TestPackedKeyOracle:
+    def test_matches_big_int_reference(self, tmp_path):
+        cases = list(oracle_databases())
+        assert len(cases) >= 100
+        tails = 0
+        for db, L in cases:
+            A = build_matrix(db, L)
+            assert A._codes is None             # built from keys alone
+            assert_same_matrix(A, reference_build(db, L), tmp_path)
+            np.testing.assert_array_equal(A.rows_of(A.row_codes), np.arange(A.n_rows))
+            tails += any(n < L for n in db.lengths)
+        assert tails >= 10
+
+    @pytest.mark.parametrize("fingerprint", [
+        lambda keys: np.zeros(len(keys), dtype=np.uint64),
+        lambda keys: keys[:, -1] & np.uint64(3),
+    ], ids=["constant", "two_low_bits"])
+    def test_forced_fingerprint_collisions(self, tmp_path, monkeypatch, fingerprint):
+        monkeypatch.setattr(sequence_db, "_fingerprint", fingerprint)
+        rng = np.random.default_rng(5)
+        for L in (3, 32, 33, 70):
+            seqs = ["".join("ACGT"[d] for d in rng.integers(0, 4, L + 30)) for _ in range(4)]
+            db = db_of(*seqs, seqs[0][:L - 2] if L > 2 else "G", "A" * (L + 5))
+            A = build_matrix(db, L)
+            assert_same_matrix(A, reference_build(db, L), tmp_path)
+            np.testing.assert_array_equal(A.rows_of(A.row_codes), np.arange(A.n_rows))
+            absent = sorted(set(range(1, 4 ** L + 1, max(1, 4 ** L // 997))) - set(A.row_codes))
+            assert (A.rows_of(absent[:50]) == -1).all()
+            loaded = tmp_path / "A.rsm"
+            A.save(loaded)
+            B = ReadSamplingMatrix.load(loaded)
+            np.testing.assert_array_equal(B.rows_of(A.row_codes[::-1]),
+                                          np.arange(A.n_rows)[::-1])
+
+    # sha256 of save() for fixed databases, computed with the big-int builder;
+    # the readprofiler-matrix-v1 bytes must not drift
+    PINNED_DB = ("ACGTTGCAAGCTTAGCCGATCGGATACCTTAGGCATGCAATCGTACGGTACCATG",
+                 "TTGACCGGTAACGTCAGTCCATGGCATGCTAGCTAGGATCCGTAAGCT",
+                 "GGGGCCCCAAAATTTTACGTACGTTGCATGCAAGGCCT",
+                 "AC")
+
+    @pytest.mark.parametrize("n_seqs,L,digest", [
+        (4, 3, "b36746ead5871b0f67a2cffc0d1f7be27702e59ce44735f66b91b98265923164"),
+        (3, 40, "246b881e3d5a7c62bc61c6770ac927f26c0abb4995cf6e8e2a1cd75fa988849e"),
+    ])
+    def test_pinned_matrix_bytes(self, tmp_path, n_seqs, L, digest):
+        db = db_of(*self.PINNED_DB[:n_seqs])
+        assert min(db.lengths) < L              # each case has a uniform-tail species
+        build_matrix(db, L).save(tmp_path / "A.rsm")
+        assert hashlib.sha256((tmp_path / "A.rsm").read_bytes()).hexdigest() == digest
+
+    def test_timed_path_never_lists_row_codes(self):
+        # the decimal codes of every row are for files only: a profile run
+        # converts just the rows its reads touch
+        A = build_matrix(generate_random_db(300, 200, seed=12), 40)
+        gram_lambda_min(A)
+        mix = sample_power_law_mixture(300, 10, 1.0, seed=13)
+        rc = simulate_reads(A, mix.full_vector(300), 20000, seed=14)
+        y = empirical_frequencies(rc, A).y
+        divide_and_conquer(A, y, DncParams(seed=15))
+        assert A._codes is None
 
 
 class TestGramCache:

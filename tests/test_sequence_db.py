@@ -9,10 +9,13 @@ from readprofiler.sequence_db import (
     AmbiguousBaseError,
     FastaError,
     SequenceDatabase,
+    base_digits,
+    codes_to_keys,
+    keys_to_codes,
+    kmer_keys,
     lex_decode,
     lex_encode,
     parse_fasta,
-    window_codes,
 )
 
 DNA = st.text(alphabet="ACGT", min_size=1, max_size=12)
@@ -81,10 +84,34 @@ class TestLexCodes:
             lex_decode(65, 3)
 
     def test_window_codes_match_direct_encoding(self):
-        seq = "ACGTACGGTTAC"
-        for L in (1, 2, 5, len(seq)):
-            expect = [lex_encode(seq[i:i + L]) for i in range(len(seq) - L + 1)]
-            assert list(window_codes(seq, L)) == expect
+        # packed keys of every window, and of a sparse choice of windows,
+        # against lex_encode; lengths straddle the 32-base word edges
+        rng = np.random.default_rng(8)
+        for L in (1, 2, 5, 12, 31, 32, 33, 63, 64, 65, 100, 150, MAX_CODE_LENGTH):
+            for seq in ("".join("ACGT"[d] for d in rng.integers(0, 4, L + 40)),
+                        "A" * (L + 3), "T" * (L + 3)):
+                digits = base_digits(seq)
+                n = len(seq) - L + 1
+                expect = [lex_encode(seq[i:i + L]) for i in range(n)]
+                keys = kmer_keys(digits, L, np.arange(n))
+                assert keys.shape == (n, -(-L // 32)) and keys.dtype == np.uint64
+                assert keys_to_codes(keys) == expect
+                some = np.array([n - 1, 0, n // 2])
+                assert keys_to_codes(kmer_keys(digits, L, some)) == [expect[i] for i in some]
+                np.testing.assert_array_equal(codes_to_keys(expect, L), keys)
+                # word-by-word order is lex_encode order
+                order = np.lexsort(keys.T[::-1])
+                assert [expect[i] for i in order] == sorted(expect)
+
+    def test_codes_to_keys_rejects_out_of_range(self):
+        for bad in (0, 4 ** 3 + 1):
+            with pytest.raises(ValueError, match="outside"):
+                codes_to_keys([1, bad], 3)
+        assert codes_to_keys([], 3).shape == (0, 1)
+
+    def test_base_digits(self):
+        np.testing.assert_array_equal(base_digits("ACGTNa-é"),
+                                      [0, 1, 2, 3, 255, 255, 255, 255])
 
 
 class TestParseFasta:
