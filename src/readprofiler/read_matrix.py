@@ -108,8 +108,8 @@ class ReadSamplingMatrix:
         out._index = index
         return out
 
-    def _set_fields(self, read_length, matrix, n_codes, col_lengths, tail_convention):
-        if matrix.shape[0] != n_codes:
+    def _set_fields(self, read_length, matrix, n_rows, col_lengths, tail_convention):
+        if matrix.shape[0] != n_rows:
             raise ValueError("row_codes length disagrees with matrix rows")
         if matrix.shape[1] != len(col_lengths):
             raise ValueError("col_lengths length disagrees with matrix columns")

@@ -19,7 +19,8 @@ logger = logging.getLogger(__name__)
 ALPHABET = "ACGT"
 _TO_DIGITS = str.maketrans("ACGT", "0123")
 _NON_ACGT = re.compile("[^ACGT]")
-_BYTE_DIGITS = bytes(ALPHABET.find(chr(b)) % 256 for b in range(256))   # else 255
+#: byte -> base digit: A, C, G, T -> 0-3, every other byte -> 255
+_BYTE_DIGITS = bytes(ALPHABET.find(chr(b)) % 256 for b in range(256))
 _FP_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)    # odd: 2^64 over the golden ratio
 _FP_SHIFT = np.uint64(29)
 
