@@ -7,6 +7,7 @@ the read-sampling matrix. All randomness flows through a seeded generator.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 from dataclasses import dataclass, field
@@ -16,17 +17,31 @@ import numpy as np
 
 from .read_matrix import FrequencyVector, ReadSamplingMatrix, reweight_to_dna
 from .sequence_db import (
+    ALPHABET,
     MAX_CODE_LENGTH,
     KmerIndex,
     SequenceDatabase,
-    base_digits,
+    codes_to_keys,
     keys_to_codes,
     kmer_keys,
-    lex_decode,
     lex_encode,
+    read_bytes,
 )
 
 logger = logging.getLogger(__name__)
+
+#: byte -> base digit of a read letter: A, C, G, T in either case -> 0-3,
+#: every other byte -> 255
+_READ_DIGITS = bytes(255 if (i := "ACGTacgt".find(chr(b))) < 0 else i % 4
+                     for b in range(256))
+#: the ASCII line breaks of universal newlines and str.splitlines
+_IS_BREAK = np.zeros(256, dtype=bool)
+_IS_BREAK[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = True
+#: ASCII bytes that str.strip removes but that do not break lines
+_IS_BLANK = np.array([chr(b).isspace() for b in range(128)] + [False] * 128) & ~_IS_BREAK
+#: byte of a packed key -> its four bases as ASCII letters
+_BYTE_BASES = np.frombuffer(bytes(ord(ALPHABET[b >> s & 3]) for b in range(256)
+                                  for s in (6, 4, 2, 0)), dtype=np.uint8).reshape(256, 4)
 
 
 @dataclass
@@ -113,11 +128,19 @@ class ReadCounts:
         return len(self.counts)
 
     def save(self, path) -> None:
-        """Text format: '#' + JSON header, then 'kmer<TAB>count' lines."""
+        """Text format: '#' + JSON header, then 'kmer<TAB>count' lines in
+        code order."""
         header = {"read_length": self.read_length, "total": self.total, "seed": self.seed}
+        L = self.read_length
+        codes = list(self.counts)
+        keys = codes_to_keys(codes, L)
+        order = np.lexsort(keys.T[::-1])        # word order is code order
+        # each word's big-endian bytes, most significant first, hold four bases each
+        bases = _BYTE_BASES[keys[order].astype(">u8").view(np.uint8)].reshape(len(codes), -1)
+        kmers = bases[:, bases.shape[1] - L:].tobytes().decode("ascii")
+        counts = np.fromiter(self.counts.values(), dtype=np.int64, count=len(codes))[order]
         lines = ["#" + json.dumps(header, sort_keys=True)]
-        for code in sorted(self.counts):
-            lines.append(f"{lex_decode(code, self.read_length)}\t{self.counts[code]}")
+        lines += [f"{kmers[i * L:(i + 1) * L]}\t{c}" for i, c in enumerate(counts.tolist())]
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
@@ -126,61 +149,132 @@ class ReadCounts:
         if not lines or not lines[0].startswith("#"):
             raise ValueError(f"{path}: missing JSON header line")
         header = json.loads(lines[0][1:])
+        read_length = header["read_length"]
         counts: dict[int, int] = {}
-        for line in lines[1:]:
+        for number, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
             kmer, cnt = line.split("\t")
+            if len(kmer) != read_length:
+                raise ValueError(f"{path}: line {number}: k-mer {kmer!r} has length "
+                                 f"{len(kmer)}, but read_length is {read_length}")
             counts[lex_encode(kmer)] = int(cnt)
-        return cls(counts, header["read_length"], header["total"], header.get("seed"))
+        return cls(counts, read_length, header["total"], header.get("seed"))
 
 
-def _fastq_sequences(lines: list[str], path) -> list[str]:
-    """Sequence lines of a four-line-per-record FASTQ file.
+def _read_lines(data: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
+    """The lines of ``data`` as ``read_text().rstrip().splitlines()`` gives
+    them, each stripped: a buffer, each line's start and end in it, and each
+    line's length in characters.
+
+    A line is a slice of ``data`` unless it holds a non-ASCII byte or has
+    whitespace at an end. Such a line is decoded as ``read_text`` decodes,
+    split at the separators only ``str`` knows, stripped and upper-cased, and
+    appended to the buffer one byte per character ('?' where a character has
+    no single byte).
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    low = np.flatnonzero(raw <= 32)     # every break and every ASCII space
+    kind = raw[low]
+    breaks = low[_IS_BREAK[kind]]
+    starts = np.concatenate([[0], breaks + 1])
+    ends = np.append(breaks, len(data))
+    if (kind == 13).any():
+        # universal newlines: '\r\n' is one break, so drop the empty line between
+        crlf = (raw[breaks[:-1]] == 13) & (np.diff(breaks) == 1) & (raw[breaks[1:]] == 10)
+        keep = np.ones(len(starts), dtype=bool)
+        keep[1:-1] = ~crlf
+        starts, ends = starts[keep], ends[keep]
+    # lines that need str: whitespace at an end, or a non-ASCII byte
+    rare = np.zeros(len(starts), dtype=bool)
+    blank = low[_IS_BLANK[kind]]
+    line = np.searchsorted(ends, blank, side="right")
+    rare[line[(blank == starts[line]) | (blank == ends[line] - 1)]] = True
+    if not data.isascii():
+        rare[np.searchsorted(ends, np.flatnonzero(raw >= 128), side="right")] = True
+    lengths = ends - starts
+    if rare.any():
+        joined = b"\n".join(data[s:e] for s, e in zip(starts[rare], ends[rare]))
+        pieces = [(text + "\n").splitlines()
+                  for text in io.TextIOWrapper(io.BytesIO(joined)).read().split("\n")]
+        per_line = np.ones(len(starts), dtype=np.int64)
+        per_line[rare] = [len(piece) for piece in pieces]
+        starts, ends, lengths = (np.repeat(a, per_line) for a in (starts, ends, lengths))
+        stripped = [line.strip() for piece in pieces for line in piece]
+        content = [line.upper().encode("latin-1", "replace") for line in stripped]
+        size = np.array([len(c) for c in content], dtype=np.int64)
+        slots = np.flatnonzero(np.repeat(rare, per_line))
+        ends[slots] = len(data) + np.cumsum(size)
+        starts[slots] = ends[slots] - size
+        lengths[slots] = [len(line) for line in stripped]
+        data += b"".join(content)
+    # rstrip(): trailing blank lines go
+    filled = np.flatnonzero(ends > starts)
+    n_lines = filled[-1] + 1 if len(filled) else 0
+    return data, starts[:n_lines], ends[:n_lines], lengths[:n_lines]
+
+
+def _fastq_sequence_lines(buf: bytes, starts: np.ndarray, ends: np.ndarray,
+                          lengths: np.ndarray, path) -> np.ndarray:
+    """Line numbers of the sequences of a four-line-per-record FASTQ file.
 
     Each record is an '@' header, a sequence, a '+' line and a quality line as
-    long as the sequence; any other shape raises ValueError naming the
-    1-based record number.
+    long as the sequence. All records are checked at once; the first one that
+    fails raises ValueError naming its 1-based number and its first failed
+    check, in the order: truncated, '@', '+', quality length.
     """
-    seqs = []
-    for rec, start in enumerate(range(0, len(lines), 4), start=1):
-        record = lines[start:start + 4]
-        if len(record) < 4:
-            raise ValueError(f"{path}: FASTQ record {rec} is truncated "
-                             f"({len(record)} of 4 lines)")
-        header, seq, plus, qual = (ln.strip() for ln in record)
-        if not header.startswith("@"):
-            raise ValueError(f"{path}: FASTQ record {rec} has no '@' header line")
-        if not plus.startswith("+"):
-            raise ValueError(f"{path}: FASTQ record {rec} has no '+' line")
-        if len(qual) != len(seq):
-            raise ValueError(f"{path}: FASTQ record {rec} has {len(seq)} bases "
-                             f"but {len(qual)} quality values")
-        seqs.append(seq)
-    return seqs
+    raw = np.frombuffer(buf, dtype=np.uint8)
+
+    def starts_with(lines, byte):
+        first = raw[np.minimum(starts[lines], len(raw) - 1)]
+        return (ends[lines] > starts[lines]) & (first == byte)
+
+    head = 4 * np.arange(len(starts) // 4)
+    no_at = ~starts_with(head, ord("@"))
+    no_plus = ~starts_with(head + 2, ord("+"))
+    seq_len, qual_len = lengths[head + 1], lengths[head + 3]
+    bad = np.flatnonzero(no_at | no_plus | (seq_len != qual_len))
+    if len(bad):
+        r = bad[0]
+        if no_at[r]:
+            raise ValueError(f"{path}: FASTQ record {r + 1} has no '@' header line")
+        if no_plus[r]:
+            raise ValueError(f"{path}: FASTQ record {r + 1} has no '+' line")
+        raise ValueError(f"{path}: FASTQ record {r + 1} has {seq_len[r]} bases "
+                         f"but {qual_len[r]} quality values")
+    if len(starts) % 4:
+        raise ValueError(f"{path}: FASTQ record {len(head) + 1} is truncated "
+                         f"({len(starts) % 4} of 4 lines)")
+    return head + 1
 
 
 def read_counts_from_reads(path, read_length: int) -> ReadCounts:
-    """Encode raw reads (plain one-per-line or FASTQ) by their first L bases.
+    """Encode raw reads (plain one-per-line or FASTQ, optionally gzipped) by
+    their first L bases.
 
-    Reads shorter than L are skipped and counted in ``skipped_short``; reads
-    whose first L bases hold a character outside ACGT (such as N) are skipped
-    and counted in ``skipped_invalid``. A malformed FASTQ record raises
-    ValueError.
+    The file is read as bytes and parsed in whole-file numpy passes; lines
+    and reads are those of ``read_text().rstrip().splitlines()`` with each
+    line stripped and upper-cased, and a file is FASTQ when its first line
+    starts with '@'. Blank lines of a plain file are ignored. Reads shorter
+    than L are skipped and counted in ``skipped_short``; reads whose first L
+    bases hold a character outside ACGT (such as N) are skipped and counted
+    in ``skipped_invalid``. A malformed FASTQ record raises ValueError.
     """
     if not 1 <= read_length <= MAX_CODE_LENGTH:
         raise ValueError(f"read length must be in [1, {MAX_CODE_LENGTH}], got {read_length}")
-    lines = Path(path).read_text().rstrip().splitlines()
-    if lines and lines[0].startswith("@"):
-        reads = _fastq_sequences(lines, path)
+    data = read_bytes(path)
+    buf, starts, ends, lengths = _read_lines(data)
+    if data[:1] == b"@":
+        seq = _fastq_sequence_lines(buf, starts, ends, lengths, path)
     else:
-        reads = [ln for ln in lines if ln.strip()]
-    reads = [read.strip().upper() for read in reads]
-    usable = [read[:read_length] for read in reads if len(read) >= read_length]
-    short = len(reads) - len(usable)
-    digits = base_digits("".join(usable))
-    valid = (digits.reshape(len(usable), read_length) <= 3).all(axis=1)
-    invalid = len(usable) - int(valid.sum())
+        seq = np.flatnonzero(ends > starts)
+    at = starts[seq][ends[seq] - starts[seq] >= read_length]
+    short = len(seq) - len(at)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.frombuffer(buf, dtype=np.uint8), read_length)[at] if len(at) else b""
+    digits = np.frombuffer(bytes(windows).translate(_READ_DIGITS), dtype=np.uint8)
+    valid = digits.reshape(len(at), read_length).max(axis=1) <= 3
+    invalid = len(at) - int(valid.sum())
     # masked, so that an invalid base cannot spill into a valid read's key
     keys = kmer_keys(digits & 3, read_length, np.flatnonzero(valid) * read_length)
     index, rows = KmerIndex.first_seen(keys)

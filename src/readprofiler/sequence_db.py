@@ -23,6 +23,7 @@ _NON_ACGT = re.compile("[^ACGT]")
 _BYTE_DIGITS = bytes(ALPHABET.find(chr(b)) % 256 for b in range(256))
 _FP_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)    # odd: 2^64 over the golden ratio
 _FP_SHIFT = np.uint64(29)
+_QUAD_TO_BYTE = np.uint32(1 << 30 | 1 << 20 | 1 << 10 | 1)
 
 #: Largest supported k-mer length. Codes are arbitrary-precision integers and
 #: keys hold as many words as a length needs, so there is no overflow; the cap
@@ -108,15 +109,17 @@ def kmer_keys(digits: np.ndarray, length: int, starts) -> np.ndarray:
         keys[:, 0] >>= np.uint64(2 * (32 - lead))
         return keys
     # few, separate windows: copy out their bases behind A-padding up to
-    # whole words, and pack pairs of neighbours: 2 bases, 4, ... 32
-    words = np.zeros((len(starts), 32 * n_words), dtype=np.uint8)
-    words[:, 32 * n_words - length:] = np.lib.stride_tricks.sliding_window_view(
+    # whole words, then pack each four bases into one byte and read eight
+    # bytes as a big-endian word
+    bases = np.zeros((len(starts), 32 * n_words), dtype=np.uint8)
+    bases[:, 32 * n_words - length:] = np.lib.stride_tricks.sliding_window_view(
         digits, length)[starts]
-    words = words.reshape(len(starts), n_words, 32)
-    for bits, dtype in ((2, np.uint8), (4, np.uint8), (8, np.uint16), (16, np.uint32),
-                        (32, np.uint64)):
-        words = (words[..., 0::2].astype(dtype) << dtype(bits)) | words[..., 1::2]
-    return words[..., 0]
+    # bases b0..b3 sit at bits 0, 8, 16, 24 of a little-endian quad; the
+    # product (mod 2^32) moves them to bits 30, 28, 26, 24, and its other
+    # terms fill disjoint bits below 24, so no carry reaches bits 24-31
+    quads = bases.view("<u4") * _QUAD_TO_BYTE
+    packed = (quads >> np.uint32(24)).astype(np.uint8)
+    return packed.view(">u8").astype(np.uint64)
 
 
 def keys_to_codes(keys: np.ndarray) -> list[int]:
@@ -327,6 +330,13 @@ def _open_text(path):
     if path.suffix == ".gz":
         return gzip.open(path, "rt")
     return open(path)
+
+
+def read_bytes(path) -> bytes:
+    """The bytes of a plain file, or the decompressed bytes of a gzipped one
+    (the same ``.gz`` suffix rule as FASTA input)."""
+    data = Path(path).read_bytes()
+    return gzip.decompress(data) if Path(path).suffix == ".gz" else data
 
 
 def iter_fasta(path) -> Iterator[tuple[str, str]]:

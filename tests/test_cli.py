@@ -1,3 +1,4 @@
+import gzip
 import json
 
 import pytest
@@ -81,6 +82,32 @@ class TestPipelineCommands:
         assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
                    "--reads", str(raw), "--raw-reads",
                    "--out", str(tmp_path / "est.json")) == 2
+
+    def test_reconstruct_counts_of_wrong_kmer_length_exits_2(self, pipeline_dir, tmp_path):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text('#{"read_length": 8, "seed": null, "total": 5}\nACGTACG\t5\n')
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(counts), "--out", str(est)) == 2
+        assert not est.exists()
+
+    @pytest.mark.parametrize("fastq", [False, True])
+    def test_reconstruct_gzipped_raw_reads(self, pipeline_dir, tmp_path, fastq):
+        seq = parse_fasta(pipeline_dir / "db.fasta").records[0].sequence
+        reads = [seq[:10], seq[5:15], seq[20:30]]
+        if fastq:
+            text = "".join(f"@r{i}\n{r}\n+\n{'I' * len(r)}\n" for i, r in enumerate(reads))
+        else:
+            text = "\n".join(reads) + "\n"
+        plain, gz = tmp_path / "raw.txt", tmp_path / "raw.txt.gz"
+        plain.write_text(text)
+        gz.write_bytes(gzip.compress(text.encode()))
+        for raw in (plain, gz):
+            assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                       "--reads", str(raw), "--raw-reads", "--seed", "3",
+                       "--out", str(tmp_path / f"{raw.name}.json")) == 0
+        assert (tmp_path / "raw.txt.gz.json").read_bytes() == \
+            (tmp_path / "raw.txt.json").read_bytes()
 
     def test_identifiability_outputs(self, pipeline_dir):
         out = pipeline_dir / "ident.json"

@@ -1,5 +1,8 @@
+import gzip
+import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from readprofiler.mixture_sim import (
     simulate_reads,
 )
 from readprofiler.read_matrix import FrequencyVector, build_matrix, reweight_to_dna
-from readprofiler.sequence_db import SequenceDatabase, lex_encode
+from readprofiler.sequence_db import SequenceDatabase, lex_decode, lex_encode
 
 
 def db_of(*seqs):
@@ -197,6 +200,47 @@ class TestReadCountsIO:
         with pytest.raises(ValueError, match=re.escape(message)):
             read_counts_from_reads(path, 3)
 
+    @pytest.mark.parametrize("fastq", [False, True])
+    def test_gzipped_reads_match_plain(self, tmp_path, fastq):
+        reads = ["ACGTAC", "acgttt", "ACNTAC", "AC", "GGGTACC", "ACGTAC"]
+        if fastq:
+            text = "".join(f"@r{i}\n{r}\n+\n{'I' * len(r)}\n" for i, r in enumerate(reads))
+        else:
+            text = "\n".join(reads) + "\n"
+        path, gz = tmp_path / "reads.txt", tmp_path / "reads.txt.gz"
+        path.write_text(text)
+        gz.write_bytes(gzip.compress(text.encode()))
+        rc, rc_gz = read_counts_from_reads(path, 4), read_counts_from_reads(gz, 4)
+        assert list(rc_gz.counts.items()) == list(rc.counts.items())
+        assert (rc_gz.total, rc_gz.skipped_short, rc_gz.skipped_invalid) == \
+            (rc.total, rc.skipped_short, rc.skipped_invalid) == (4, 1, 1)
+
+    @pytest.mark.parametrize("read_len", [1, 2, 31, 32, 33, 64, 65, 150, 512])
+    def test_save_matches_per_code_decode(self, tmp_path, read_len):
+        rng = np.random.default_rng(read_len)
+        codes = {1, 4 ** read_len}                          # all-A and all-T
+        codes |= {int.from_bytes(rng.bytes(-(-read_len // 4)), "big") % 4 ** read_len + 1
+                  for _ in range(300)}
+        codes = [int(c) for c in rng.permutation(np.array(sorted(codes), dtype=object))]
+        counts = {c: int(rng.integers(1, 1000)) for c in codes}
+        rc = ReadCounts(counts, read_len, sum(counts.values()), seed=5)
+        rc.save(tmp_path / "reads.tsv")
+        # the per-code lex_decode loop the packed-key save replaces
+        header = {"read_length": read_len, "total": rc.total, "seed": 5}
+        lines = ["#" + json.dumps(header, sort_keys=True)]
+        lines += [f"{lex_decode(c, read_len)}\t{counts[c]}" for c in sorted(counts)]
+        (tmp_path / "want.tsv").write_text("\n".join(lines) + "\n")
+        assert (tmp_path / "reads.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+        assert ReadCounts.load(tmp_path / "reads.tsv").counts == counts
+
+    @pytest.mark.parametrize("kmer", ["AC", "ACGT"])
+    def test_load_rejects_kmer_of_wrong_length(self, tmp_path, kmer):
+        path = tmp_path / "reads.tsv"
+        path.write_text('#{"read_length": 3, "seed": null, "total": 7}\n'
+                        f"ACG\t2\n{kmer}\t5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: k-mer {kmer!r}")):
+            ReadCounts.load(path)
+
     def test_mixture_spec_roundtrip(self, tmp_path):
         mix = sample_power_law_mixture(100, 5, 1.0, seed=12)
         path = tmp_path / "mix.json"
@@ -279,3 +323,180 @@ class TestPackedKeyReadPaths:
             for code, c in rc.counts.items():
                 y[code_to_row[code]] = c / rc.total
             assert np.array_equal(empirical_frequencies(rc, A).y, y)
+
+
+def reference_read_counts_from_reads(path, read_len):
+    """The str parser that the byte parser replaced: counts, total and both
+    skip counts, or the ValueError it raised."""
+    lines = Path(path).read_text().rstrip().splitlines()
+    if lines and lines[0].startswith("@"):
+        reads = []
+        for rec, start in enumerate(range(0, len(lines), 4), start=1):
+            record = lines[start:start + 4]
+            if len(record) < 4:
+                raise ValueError(f"{path}: FASTQ record {rec} is truncated "
+                                 f"({len(record)} of 4 lines)")
+            header, seq, plus, qual = (ln.strip() for ln in record)
+            if not header.startswith("@"):
+                raise ValueError(f"{path}: FASTQ record {rec} has no '@' header line")
+            if not plus.startswith("+"):
+                raise ValueError(f"{path}: FASTQ record {rec} has no '+' line")
+            if len(qual) != len(seq):
+                raise ValueError(f"{path}: FASTQ record {rec} has {len(seq)} bases "
+                                 f"but {len(qual)} quality values")
+            reads.append(seq)
+    else:
+        reads = [ln for ln in lines if ln.strip()]
+    counts, short, invalid = TestPackedKeyReadPaths.reference_read_counts(reads, read_len)
+    if not counts:
+        raise ValueError(f"{path}: no usable reads of length >= {read_len}")
+    return list(counts.items()), sum(counts.values()), short, invalid
+
+
+def outcome(parse, path, read_len):
+    try:
+        return parse(path, read_len)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def parsed(path, read_len):
+    rc = read_counts_from_reads(path, read_len)
+    return list(rc.counts.items()), rc.total, rc.skipped_short, rc.skipped_invalid
+
+
+class TestByteParserOracle:
+    """read_counts_from_reads against the str parser it replaced, on files
+    with every line shape that needs str semantics."""
+
+    ENDINGS = ["\n"] * 6 + ["\r\n"] * 2 + ["\r"]
+    EDGES = ["", "", "", " ", "  ", "\t", " \t", "\x1f"]
+    # non-ASCII characters: letters, whitespace and line separators
+    FOREIGN = ["ß", "é", "ψ", "\xa0", "\u2028", "\x85"]
+
+    @classmethod
+    def random_read(cls, rng, read_len, rare, splitters):
+        n = max(1, read_len + int(rng.integers(-3, 6)))
+        read = "".join(rng.choice(list("ACGT"), n))
+        kind = int(rng.integers(0, 12))
+        if kind == 0:
+            read = read.lower()
+        elif kind == 1:
+            p = int(rng.integers(0, n))
+            read = read[:p] + "N" + read[p + 1:]
+        elif kind == 2 and rare:            # before or after position L
+            p = int(rng.integers(0, n + 1))
+            read = read[:p] + str(rng.choice(cls.FOREIGN[:4])) + read[p:]
+        elif kind == 3 and rare and read_len > 1:   # upper() makes it L long
+            read = read[:read_len - 2] + "ß"
+        elif kind == 4:
+            read = ""
+        elif kind == 5 and splitters:       # str.splitlines breaks the line here
+            p = int(rng.integers(0, n + 1))
+            read = read[:p] + str(rng.choice(["\x0b", "\x0c", "\u2028", "\x85"])) + read[p:]
+        return cls.edge(rng, rare) + read + cls.edge(rng, rare)
+
+    @classmethod
+    def edge(cls, rng, rare):
+        return str(rng.choice(cls.EDGES)) if rare else ""
+
+    @classmethod
+    def random_file(cls, rng, read_len, fastq, splitters):
+        """Reads in a plain or FASTQ file; a third of the files hold only
+        ASCII, '\\n' line ends and no whitespace at line ends."""
+        rare = rng.random() < 0.67
+
+        def end():
+            return str(rng.choice(cls.ENDINGS)) if rare else "\n"
+
+        splitters &= rare
+        out = []
+        for i in range(int(rng.integers(1, 60))):
+            read = cls.random_read(rng, read_len, rare, splitters)
+            if not fastq:
+                out.append(read + end())
+                if rng.random() < 0.1:                  # a blank line
+                    out.append(str(rng.choice(["", " ", "\t \t"])) * rare + end())
+                continue
+            header = str(rng.choice(["@r", "@r", " @r" if rare else "@r", "@r x"])) + str(i)
+            if i == 0 and rng.random() < 0.8:
+                header = "@r0"                          # else the file reads as plain
+            plus = str(rng.choice(["+", "+", "+r" + str(i), " +" if rare else "+"]))
+            qual = str(rng.choice(["I", "@", "#"])) * len(read.strip())
+            for line in (header, read, plus, qual + cls.edge(rng, rare)):
+                out.append(line + end())
+        if rng.random() < 0.5:
+            out.append(str(rng.choice(["\n", "\n\n", " \n\t\n", "\r\n  ", "\x0c"]
+                                      if rare else ["\n", "\n\n"])))
+        return "".join(out)
+
+    @pytest.mark.parametrize("fastq", [False, True])
+    @pytest.mark.parametrize("read_len", [1, 31, 32, 33, 150])
+    def test_counts_match_str_parser(self, tmp_path, read_len, fastq):
+        rng = np.random.default_rng([read_len, fastq])
+        path = tmp_path / "reads"
+        ok = failed = 0
+        for trial in range(40):
+            splitters = not fastq or trial % 4 == 0     # splitting a FASTQ line misaligns it
+            path.write_bytes(self.random_file(rng, read_len, fastq, splitters).encode())
+            want = outcome(reference_read_counts_from_reads, path, read_len)
+            assert outcome(parsed, path, read_len) == want
+            ok += isinstance(want[0], list)
+            failed += not isinstance(want[0], list)
+        assert ok >= 20 and (failed or not fastq)
+
+    @pytest.mark.parametrize("read_len", [1, 32, 150])
+    def test_malformed_fastq_matches_str_parser(self, tmp_path, read_len):
+        rng = np.random.default_rng(read_len)
+        path = tmp_path / "reads.fastq"
+        messages = set()
+        for _ in range(60):
+            lines = self.random_file(rng, read_len, True, False).splitlines(keepends=True)
+            if len(lines) < 8:
+                continue
+            head = 4 * int(rng.integers(1, len(lines) // 4))     # a record after the first
+            cut = int(rng.integers(0, 5))
+            if cut == 0:                                # a line missing
+                del lines[head + int(rng.integers(0, 4))]
+            elif cut == 1:                              # a quality value too many
+                lines[head + 3] = "I" + lines[head + 3]
+            elif cut == 2:                              # no '@'
+                lines[head] = lines[head].replace("@", "", 1)
+            elif cut == 3:                              # no '+'
+                lines[head + 2] = "-\n"
+            else:                                       # cut off mid-record
+                lines = lines[:head + int(rng.integers(1, 4))]
+            path.write_bytes("".join(lines).encode())
+            want = outcome(reference_read_counts_from_reads, path, read_len)
+            assert outcome(parsed, path, read_len) == want
+            if not isinstance(want[0], list):
+                messages.add(re.sub(r"\d+ ", "", want[1].split(" record ")[1])[:10])
+        assert messages == {"is truncat", "has no '@'", "has no '+'", "has bases "}
+
+    @pytest.mark.parametrize("text", [
+        "@r0\nACGT\u2028\n+\nIIII\n",                # a separator ends the line
+        "@r0\nACGT\n+\nIIII\u2028",
+        "@r0\r\r\nACGT\n+\nIIII\n",                 # '\r' then '\r\n': an empty line
+        "@r0\nACß\n+\nIII\n@r1\nacgt\r+\r\xa0IIII\xa0\n",
+        "@r0\nACß\n+\nIIII\n",                        # 3 characters, 4 after upper()
+        "ACGT\x85ACGT\u2029\x0bAC\x1c\x1d\x1eGTA\n",
+        " @r0\nACGT\n+\nIIII\n",                      # plain: '@' is not the first byte
+    ])
+    def test_line_shapes_match_str_parser(self, tmp_path, text):
+        path = tmp_path / "reads"
+        path.write_bytes(text.encode())
+        assert outcome(parsed, path, 3) == outcome(reference_read_counts_from_reads, path, 3)
+
+    @pytest.mark.parametrize("text", ["", "  \n\t\n", "\r\n\r\n", "\n\x0c \x1f\n"])
+    def test_empty_files_raise_as_before(self, tmp_path, text):
+        path = tmp_path / "reads.txt"
+        path.write_bytes(text.encode())
+        want = outcome(reference_read_counts_from_reads, path, 3)
+        assert want[0] is ValueError
+        assert outcome(parsed, path, 3) == want
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "reads.txt"
+        path.write_bytes(b"ACGTAC\nAC\xffGT\n")
+        with pytest.raises(UnicodeDecodeError):
+            read_counts_from_reads(path, 3)
