@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +20,9 @@ from .sequence_db import (
     ALPHABET,
     MAX_CODE_LENGTH,
     KmerIndex,
-    SequenceDatabase,
-    codes_to_keys,
-    keys_to_codes,
+    base_digits,
+    key_words,
     kmer_keys,
-    lex_encode,
     read_bytes,
 )
 
@@ -104,11 +102,14 @@ def sample_power_law_mixture(db, k: int, alpha: float, seed: int) -> MixtureSpec
     return MixtureSpec(support, freqs, seed, generator_tag=f"power-law(alpha={alpha})")
 
 
-@dataclass
+@dataclass(eq=False)
 class ReadCounts:
-    """Multiset of observed reads, keyed by k-mer code."""
+    """Multiset of observed reads: distinct packed k-mer keys, an (n, W)
+    uint64 array with W = ``key_words(read_length)`` (see :func:`kmer_keys`),
+    and the positive int64 count of each."""
 
-    counts: dict[int, int]
+    keys: np.ndarray
+    counts: np.ndarray
     read_length: int
     total: int
     seed: int | None = None
@@ -116,50 +117,83 @@ class ReadCounts:
     skipped_invalid: int = 0
 
     def __post_init__(self):
+        self.keys = np.asarray(self.keys, dtype=np.uint64)
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        if self.keys.shape != (len(self.counts), key_words(self.read_length)):
+            raise ValueError(f"keys of shape {self.keys.shape} do not fit {len(self.counts)} "
+                             f"counts of length-{self.read_length} k-mers")
         if self.total < 1:
             raise ValueError("total read count must be >= 1")
-        if sum(self.counts.values()) != self.total:
+        if int(self.counts.sum()) != self.total:
             raise ValueError("counts do not sum to total")
-        if any(c <= 0 for c in self.counts.values()):
+        if (self.counts <= 0).any():
             raise ValueError("all stored counts must be positive")
 
     @property
     def n_distinct(self) -> int:
-        return len(self.counts)
+        return len(self.keys)
 
     def save(self, path) -> None:
         """Text format: '#' + JSON header, then 'kmer<TAB>count' lines in
-        code order."""
+        k-mer order."""
         header = {"read_length": self.read_length, "total": self.total, "seed": self.seed}
         L = self.read_length
-        codes = list(self.counts)
-        keys = codes_to_keys(codes, L)
-        order = np.lexsort(keys.T[::-1])        # word order is code order
+        order = np.lexsort(self.keys.T[::-1])
         # each word's big-endian bytes, most significant first, hold four bases each
-        bases = _BYTE_BASES[keys[order].astype(">u8").view(np.uint8)].reshape(len(codes), -1)
+        bases = _BYTE_BASES[self.keys[order].astype(">u8").view(np.uint8)].reshape(len(order), -1)
         kmers = bases[:, bases.shape[1] - L:].tobytes().decode("ascii")
-        counts = np.fromiter(self.counts.values(), dtype=np.int64, count=len(codes))[order]
         lines = ["#" + json.dumps(header, sort_keys=True)]
-        lines += [f"{kmers[i * L:(i + 1) * L]}\t{c}" for i, c in enumerate(counts.tolist())]
+        lines += [f"{kmers[i * L:(i + 1) * L]}\t{c}"
+                  for i, c in enumerate(self.counts[order].tolist())]
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "ReadCounts":
+        """Read a file :meth:`save` wrote. A line that is not 'kmer<TAB>count'
+        with a positive count and an ACGT k-mer of the header's length, or
+        that repeats an earlier k-mer, raises ValueError naming it."""
         lines = Path(path).read_text().splitlines()
         if not lines or not lines[0].startswith("#"):
             raise ValueError(f"{path}: missing JSON header line")
         header = json.loads(lines[0][1:])
-        read_length = header["read_length"]
-        counts: dict[int, int] = {}
+        L = header["read_length"]
+        numbers, kmers, counts = [], [], []
         for number, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            kmer, cnt = line.split("\t")
-            if len(kmer) != read_length:
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"{path}: line {number}: expected 'kmer<TAB>count', "
+                                 f"got {line!r}")
+            kmer, count = fields
+            if len(kmer) != L:
                 raise ValueError(f"{path}: line {number}: k-mer {kmer!r} has length "
-                                 f"{len(kmer)}, but read_length is {read_length}")
-            counts[lex_encode(kmer)] = int(cnt)
-        return cls(counts, read_length, header["total"], header.get("seed"))
+                                 f"{len(kmer)}, but read_length is {L}")
+            try:
+                count = int(count)
+            except ValueError:
+                raise ValueError(f"{path}: line {number}: count {count!r} is not "
+                                 f"an integer") from None
+            if count < 1:
+                raise ValueError(f"{path}: line {number}: count {count} is not positive")
+            numbers.append(number)
+            kmers.append(kmer)
+            counts.append(count)
+        digits = base_digits("".join(kmers))
+        bad = np.flatnonzero(digits > 3)
+        if bad.size:
+            i = bad[0] // L
+            raise ValueError(f"{path}: line {numbers[i]}: k-mer {kmers[i]!r} holds "
+                             f"{kmers[i][bad[0] % L]!r} (expected one of ACGT)")
+        keys = kmer_keys(digits, L, np.arange(len(kmers)) * L)
+        _, rows = KmerIndex.first_seen(keys)
+        # rows count up from 0 until the first repeat
+        repeat = np.flatnonzero(rows != np.arange(len(rows)))
+        if repeat.size:
+            i = repeat[0]
+            raise ValueError(f"{path}: line {numbers[i]}: k-mer {kmers[i]!r} repeats "
+                             f"line {numbers[rows[i]]}")
+        return cls(keys, counts, L, header["total"], header.get("seed"))
 
 
 def _read_lines(data: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
@@ -278,17 +312,15 @@ def read_counts_from_reads(path, read_length: int) -> ReadCounts:
     # masked, so that an invalid base cannot spill into a valid read's key
     keys = kmer_keys(digits & 3, read_length, np.flatnonzero(valid) * read_length)
     index, rows = KmerIndex.first_seen(keys)
-    counts = dict(zip(keys_to_codes(index.keys), np.bincount(rows).tolist()))
     if short:
         logger.warning("skipped %d reads shorter than %d", short, read_length)
     if invalid:
         logger.warning("skipped %d reads with a base outside ACGT in their first %d",
                        invalid, read_length)
-    total = sum(counts.values())
-    if total == 0:
+    if not len(rows):
         raise ValueError(f"{path}: no usable reads of length >= {read_length}")
-    return ReadCounts(counts, read_length, total, skipped_short=short,
-                      skipped_invalid=invalid)
+    return ReadCounts(index.keys, np.bincount(rows), read_length, len(rows),
+                      skipped_short=short, skipped_invalid=invalid)
 
 
 def simulate_reads(A: ReadSamplingMatrix, x: FrequencyVector, n_reads: int,
@@ -330,8 +362,7 @@ def simulate_reads(A: ReadSamplingMatrix, x: FrequencyVector, n_reads: int,
 
     per_row = np.bincount(chosen_rows)
     rows = np.flatnonzero(per_row)
-    counts = dict(zip(A.codes_of(rows), per_row[rows].tolist()))
-    return ReadCounts(counts, A.read_length, n_reads, seed=seed)
+    return ReadCounts(A.index.keys[rows], per_row[rows], A.read_length, n_reads, seed=seed)
 
 
 @dataclass
@@ -352,12 +383,10 @@ def empirical_frequencies(rc: ReadCounts, A: ReadSamplingMatrix) -> EmpiricalFre
         raise ValueError(
             f"read length mismatch: counts at L={rc.read_length}, matrix at L={A.read_length}"
         )
-    codes = list(rc.counts)
-    counts = np.fromiter(rc.counts.values(), dtype=np.int64, count=len(codes))
-    rows = A.rows_of(codes)
+    rows = A.index.rows_of(rc.keys)
     hit = rows >= 0
     y = np.zeros(A.n_rows)
-    y[rows[hit]] = counts[hit] / rc.total
-    unmapped = int(counts[~hit].sum())
+    y[rows[hit]] = rc.counts[hit] / rc.total
+    unmapped = int(rc.counts[~hit].sum())
     mapped = rc.total - unmapped
     return EmpiricalFrequencies(y, unmapped / rc.total, mapped, unmapped, rc.total)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,8 +75,9 @@ class FrequencyVector:
 class ReadSamplingMatrix:
     """Compacted K x N read-sampling matrix with its k-mer row index.
 
-    The rows are indexed by packed k-mer keys (a :class:`KmerIndex`);
-    decimal ``lex_encode`` codes appear only in files and in read counts.
+    Row k is the k-mer of ``index.keys[k]``: K distinct packed keys of
+    W = ``key_words(read_length)`` words each (see :func:`kmer_keys`).
+    Decimal ``lex_encode`` codes appear only in the matrix file.
     The matrix is immutable after construction: :attr:`gram` caches A'A on
     first use, and every consumer reads that one product.
     """
@@ -86,63 +86,18 @@ class ReadSamplingMatrix:
     #: per stored entry of A.
     _CHEAP_GRAM_PRODUCTS = 2
 
-    def __init__(
-        self,
-        read_length: int,
-        matrix: sp.csc_matrix,
-        row_codes: list[int],
-        col_lengths: np.ndarray,
-        tail_convention: str = TAIL_CONVENTION,
-    ):
-        self._set_fields(read_length, matrix, len(row_codes), col_lengths, tail_convention)
-        self._codes = tuple(row_codes)
-        self._index: KmerIndex | None = None
-
-    @classmethod
-    def _from_index(cls, read_length: int, matrix: sp.csc_matrix, index: KmerIndex,
-                    col_lengths: np.ndarray) -> "ReadSamplingMatrix":
-        """Adopt ``index``, whose keys are the rows in row order."""
-        out = cls.__new__(cls)
-        out._set_fields(read_length, matrix, len(index.keys), col_lengths, TAIL_CONVENTION)
-        out._codes = None
-        out._index = index
-        return out
-
-    def _set_fields(self, read_length, matrix, n_rows, col_lengths, tail_convention):
-        if matrix.shape[0] != n_rows:
-            raise ValueError("row_codes length disagrees with matrix rows")
+    def __init__(self, read_length: int, matrix: sp.csc_matrix, index: KmerIndex,
+                 col_lengths: np.ndarray):
+        if matrix.shape[0] != len(index.keys):
+            raise ValueError("row index length disagrees with matrix rows")
         if matrix.shape[1] != len(col_lengths):
             raise ValueError("col_lengths length disagrees with matrix columns")
         self.read_length = read_length
         self.matrix = matrix.tocsc()
         self.matrix.sort_indices()
+        self.index = index
         self.col_lengths = np.asarray(col_lengths, dtype=np.int64)
-        self.tail_convention = tail_convention
         self._gram: sp.csr_matrix | None = None
-
-    @property
-    def index(self) -> KmerIndex:
-        """The (K, W) packed row keys and their lookup. A matrix made from
-        row codes derives them once, on first use."""
-        if self._index is None:
-            self._index = KmerIndex(codes_to_keys(self._codes, self.read_length))
-        return self._index
-
-    @property
-    def row_codes(self) -> tuple[int, ...]:
-        """The ``lex_encode`` code of each row, derived from the keys once
-        and cached. Only the file boundary needs all of them."""
-        if self._codes is None:
-            self._codes = tuple(keys_to_codes(self.index.keys))
-        return self._codes
-
-    def rows_of(self, codes) -> np.ndarray:
-        """Row of each ``lex_encode`` code, or -1 for a k-mer with no row."""
-        return self.index.rows_of(codes_to_keys(codes, self.read_length))
-
-    def codes_of(self, rows) -> list[int]:
-        """The ``lex_encode`` codes of the given rows."""
-        return keys_to_codes(self.index.keys[rows])
 
     @property
     def gram(self) -> sp.csr_matrix:
@@ -210,9 +165,7 @@ class ReadSamplingMatrix:
         rows = coo.row[order].astype(np.int64)
         cols = coo.col[order].astype(np.int64)
         vals = coo.data[order].astype(np.float64)
-        # a matrix written once need not keep K big ints: convert, don't cache
-        codes = self._codes if self._codes is not None else keys_to_codes(self.index.keys)
-        codes_blob = "\n".join(map(str, codes)).encode()
+        codes_blob = "\n".join(map(str, keys_to_codes(self.index.keys))).encode()
         payload = (
             rows.tobytes() + cols.tobytes() + vals.tobytes()
             + self.col_lengths.astype(np.int64).tobytes() + codes_blob
@@ -223,7 +176,7 @@ class ReadSamplingMatrix:
             "n_rows": self.n_rows,
             "n_species": self.n_species,
             "nnz": int(len(vals)),
-            "tail_convention": self.tail_convention,
+            "tail_convention": TAIL_CONVENTION,
             "codes_bytes": len(codes_blob),
             "checksum": hashlib.sha256(payload).hexdigest(),
         }
@@ -240,6 +193,10 @@ class ReadSamplingMatrix:
             raise ValueError(f"{path}: not a read-sampling matrix file")
         if hashlib.sha256(payload).hexdigest() != header["checksum"]:
             raise ValueError(f"{path}: checksum mismatch")
+        if header["tail_convention"] != TAIL_CONVENTION:
+            raise ValueError(f"{path}: tail convention {header['tail_convention']!r} "
+                             f"is not {TAIL_CONVENTION!r}")
+        read_length = header["read_length"]
         nnz = header["nnz"]
         n = header["n_species"]
         off = 0
@@ -252,10 +209,8 @@ class ReadSamplingMatrix:
         matrix = sp.csc_matrix(
             (vals, (rows, cols)), shape=(header["n_rows"], n)
         )
-        out = cls(header["read_length"], matrix, row_codes, col_lengths,
-                  header["tail_convention"])
-        out.index                   # build the row lookup now, not at the first read
-        return out
+        return cls(read_length, matrix, KmerIndex(codes_to_keys(row_codes, read_length)),
+                   col_lengths)
 
 
 def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
@@ -314,7 +269,7 @@ def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
     cols, rows = np.divmod(entry, n_rows)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_species))])
     matrix = sp.csc_matrix((count / n_reads[cols], rows, indptr), shape=(n_rows, n_species))
-    out = ReadSamplingMatrix._from_index(read_length, matrix, index, lengths)
+    out = ReadSamplingMatrix(read_length, matrix, index, lengths)
     bad = np.abs(out.column_sums() - 1.0) > COLUMN_SUM_TOL
     if np.any(bad):
         raise AssertionError(f"column sums off by more than {COLUMN_SUM_TOL}: {np.where(bad)[0]}")

@@ -26,7 +26,7 @@ from readprofiler.mixture_sim import empirical_frequencies, \
 from readprofiler.nnls import nnls_solve
 from readprofiler.read_matrix import FrequencyVector, build_matrix, reweight_to_dna
 from readprofiler.reconstruct import DncParams, divide_and_conquer
-from readprofiler.sequence_db import SequenceDatabase
+from readprofiler.sequence_db import SequenceDatabase, keys_to_codes
 
 _STATE: dict = {}
 
@@ -71,10 +71,11 @@ def sparse_rational_oracle(seqs, read_len):
 
 def _matrix_as_dicts(A):
     m = A.matrix
+    codes = keys_to_codes(A.index.keys)
     out = []
     for j in range(A.n_species):
         lo, hi = m.indptr[j], m.indptr[j + 1]
-        out.append({A.row_codes[rid]: val
+        out.append({codes[rid]: val
                     for rid, val in zip(m.indices[lo:hi], m.data[lo:hi])})
     return out
 

@@ -91,6 +91,32 @@ class TestPipelineCommands:
                    "--reads", str(counts), "--out", str(est)) == 2
         assert not est.exists()
 
+    @pytest.mark.parametrize("body", [
+        "ACGTACGT\t5\nACGTACGT\t5\n",                  # a repeat: once merged into 5
+        "ACGTACGT\t2\nACGTACGA 3\n",                   # a space for the tab
+        "ACGTACGT\t2\nACGTACGA\tthree\n",
+        "ACGTACGT\t2\nACGTACNA\t3\n",
+        "ACGTACGT\t5\nACGTACGA\t0\n",
+    ], ids=["repeat", "space", "not_integer", "base_n", "zero"])
+    def test_reconstruct_malformed_counts_exits_2(self, pipeline_dir, tmp_path, body):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text('#{"read_length": 8, "seed": null, "total": 5}\n' + body)
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(counts), "--out", str(est)) == 2
+        assert not est.exists()
+
+    def test_reconstruct_other_tail_convention_exits_2(self, pipeline_dir, tmp_path):
+        header, payload = (pipeline_dir / "matrix.bin").read_bytes().split(b"\n", 1)
+        fields = json.loads(header)
+        fields["tail_convention"] = "zero-tail"
+        matrix = tmp_path / "matrix.bin"
+        matrix.write_bytes(json.dumps(fields, sort_keys=True).encode() + b"\n" + payload)
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--matrix", str(matrix),
+                   "--reads", str(pipeline_dir / "reads.tsv"), "--out", str(est)) == 2
+        assert not est.exists()
+
     @pytest.mark.parametrize("fastq", [False, True])
     def test_reconstruct_gzipped_raw_reads(self, pipeline_dir, tmp_path, fastq):
         seq = parse_fasta(pipeline_dir / "db.fasta").records[0].sequence

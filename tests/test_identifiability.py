@@ -16,7 +16,7 @@ from readprofiler.identifiability import (
     partially_identifiable,
 )
 from readprofiler.read_matrix import ReadSamplingMatrix, build_matrix
-from readprofiler.sequence_db import SequenceDatabase
+from readprofiler.sequence_db import KmerIndex, SequenceDatabase
 
 
 def db_of(*seqs):
@@ -369,7 +369,8 @@ class TestNullSpaceFlagsKernel:
             dense[:, l] = dense[:, k]
             dense /= dense.sum(axis=0)
             dense = np.insert(dense, rng.integers(0, m + 1, 3), 0.0, axis=0)
-            A = ReadSamplingMatrix(3, sp.csc_matrix(dense), list(range(m + 3)),
+            rows = KmerIndex(np.arange(m + 3, dtype=np.uint64)[:, None])
+            A = ReadSamplingMatrix(3, sp.csc_matrix(dense), rows,
                                    np.full(n, 10))
             report = analyze(A)
             ref_flags, ref_rank = dense_flags_oracle(A)

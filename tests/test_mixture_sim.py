@@ -17,11 +17,25 @@ from readprofiler.mixture_sim import (
     simulate_reads,
 )
 from readprofiler.read_matrix import FrequencyVector, build_matrix, reweight_to_dna
-from readprofiler.sequence_db import SequenceDatabase, lex_decode, lex_encode
+from readprofiler.sequence_db import SequenceDatabase, base_digits, codes_to_keys, \
+    keys_to_codes, kmer_keys, lex_decode, lex_encode
 
 
 def db_of(*seqs):
     return SequenceDatabase.from_sequences(list(seqs))
+
+
+def counts_of(kmers: dict[str, int], total=None, seed=None) -> ReadCounts:
+    """ReadCounts of {k-mer: count}, in that order."""
+    L = len(next(iter(kmers)))
+    keys = kmer_keys(base_digits("".join(kmers)), L, np.arange(len(kmers)) * L)
+    counts = list(kmers.values())
+    return ReadCounts(keys, counts, L, sum(counts) if total is None else total, seed)
+
+
+def code_items(rc: ReadCounts) -> list[tuple[int, int]]:
+    """(lex_encode code, count) of each k-mer of ``rc``, in its order."""
+    return list(zip(keys_to_codes(rc.keys), rc.counts.tolist()))
 
 
 class TestPowerLawMixture:
@@ -62,7 +76,7 @@ class TestSimulateReads:
         A = build_matrix(db_of("AAAA"), 2)
         x = FrequencyVector([1.0], "species", normalized=True)
         rc = simulate_reads(A, x, 500, seed=0)
-        assert rc.counts == {lex_encode("AA"): 500}
+        assert code_items(rc) == [(lex_encode("AA"), 500)]
 
     def test_single_read(self):
         A = build_matrix(db_of("ACGTACGT"), 3)
@@ -74,8 +88,8 @@ class TestSimulateReads:
     def test_reproducible_across_runs(self):
         A = build_matrix(db_of("ACGTACGTAC", "GGCATTGAGG"), 4)
         x = FrequencyVector([0.3, 0.7], "species", normalized=True)
-        assert simulate_reads(A, x, 2000, seed=9).counts == \
-            simulate_reads(A, x, 2000, seed=9).counts
+        assert code_items(simulate_reads(A, x, 2000, seed=9)) == \
+            code_items(simulate_reads(A, x, 2000, seed=9))
 
     def test_point_mass_converges_to_column(self):
         # law of large numbers: total variation against the exact column
@@ -106,7 +120,7 @@ class TestSimulateReads:
 class TestEmpiricalFrequencies:
     def test_simple_arithmetic(self):
         A = build_matrix(db_of("AAAC"), 2)  # rows AA, AC
-        rc = ReadCounts({lex_encode("AA"): 3, lex_encode("AC"): 1}, 2, 4)
+        rc = counts_of({"AA": 3, "AC": 1})
         emp = empirical_frequencies(rc, A)
         np.testing.assert_array_equal(emp.y, [0.75, 0.25])
         assert emp.unmapped_fraction == 0.0
@@ -119,15 +133,14 @@ class TestEmpiricalFrequencies:
 
     def test_unknown_kmer_reported_not_renormalized(self):
         A = build_matrix(db_of("AAAC"), 2)
-        rc = ReadCounts({lex_encode("AA"): 3, lex_encode("GG"): 1}, 2, 4)
+        rc = counts_of({"AA": 3, "GG": 1})
         emp = empirical_frequencies(rc, A)
         assert emp.unmapped_fraction == 0.25
         assert emp.y.sum() == 0.75  # y left unrenormalized
 
     def test_mass_conservation_exact_on_counts(self):
         A = build_matrix(db_of("AAAC"), 2)
-        rc = ReadCounts({lex_encode("AA"): 7, lex_encode("GG"): 3,
-                         lex_encode("AC"): 5}, 2, 15)
+        rc = counts_of({"AA": 7, "GG": 3, "AC": 5})
         emp = empirical_frequencies(rc, A)
         assert emp.mapped_reads + emp.unmapped_reads == rc.total
         assert Fraction(emp.mapped_reads, rc.total) \
@@ -135,31 +148,31 @@ class TestEmpiricalFrequencies:
 
     def test_read_length_mismatch_rejected(self):
         A = build_matrix(db_of("AAAC"), 2)
-        rc = ReadCounts({lex_encode("AAA"): 1}, 3, 1)
+        rc = counts_of({"AAA": 1})
         with pytest.raises(ValueError):
             empirical_frequencies(rc, A)
 
 
 class TestReadCountsIO:
     def test_save_load_roundtrip(self, tmp_path):
-        rc = ReadCounts({lex_encode("ACG"): 2, lex_encode("TTT"): 5}, 3, 7, seed=3)
+        rc = counts_of({"TTT": 5, "ACG": 2}, seed=3)
         path = tmp_path / "reads.tsv"
         rc.save(path)
         back = ReadCounts.load(path)
-        assert back.counts == rc.counts
+        assert code_items(back) == sorted(code_items(rc))
         assert back.total == rc.total
         assert back.read_length == 3
 
     def test_counts_must_sum_to_total(self):
         with pytest.raises(ValueError):
-            ReadCounts({lex_encode("AA"): 1}, 2, 5)
+            counts_of({"AA": 1}, total=5)
 
     def test_raw_plain_reads(self, tmp_path):
         path = tmp_path / "reads.txt"
         path.write_text("ACGTAC\nACGTTT\nAC\n")
         rc = read_counts_from_reads(path, 4)
         assert rc.total == 2
-        assert rc.counts == {lex_encode("ACGT"): 2}
+        assert code_items(rc) == [(lex_encode("ACGT"), 2)]
         assert rc.skipped_short == 1
 
     def test_raw_fastq_reads(self, tmp_path):
@@ -167,7 +180,7 @@ class TestReadCountsIO:
         path.write_text("@r1\nACGTAC\n+\nIIIIII\n@r2\nGGGTAC\n+\nIIIIII\n")
         rc = read_counts_from_reads(path, 3)
         assert rc.total == 2
-        assert rc.counts == {lex_encode("ACG"): 1, lex_encode("GGG"): 1}
+        assert code_items(rc) == [(lex_encode("ACG"), 1), (lex_encode("GGG"), 1)]
 
     @pytest.mark.parametrize("fastq", [False, True])
     def test_non_acgt_reads_skipped_and_counted(self, tmp_path, fastq):
@@ -180,7 +193,7 @@ class TestReadCountsIO:
             path.write_text("\n".join(reads) + "\n")
         rc = read_counts_from_reads(path, 4)
         assert rc.total == 3
-        assert rc.counts == {lex_encode("ACGT"): 3}
+        assert code_items(rc) == [(lex_encode("ACGT"), 3)]
         assert rc.skipped_invalid == 1
         assert rc.skipped_short == 1
 
@@ -211,7 +224,7 @@ class TestReadCountsIO:
         path.write_text(text)
         gz.write_bytes(gzip.compress(text.encode()))
         rc, rc_gz = read_counts_from_reads(path, 4), read_counts_from_reads(gz, 4)
-        assert list(rc_gz.counts.items()) == list(rc.counts.items())
+        assert code_items(rc_gz) == code_items(rc)
         assert (rc_gz.total, rc_gz.skipped_short, rc_gz.skipped_invalid) == \
             (rc.total, rc.skipped_short, rc.skipped_invalid) == (4, 1, 1)
 
@@ -223,7 +236,8 @@ class TestReadCountsIO:
                   for _ in range(300)}
         codes = [int(c) for c in rng.permutation(np.array(sorted(codes), dtype=object))]
         counts = {c: int(rng.integers(1, 1000)) for c in codes}
-        rc = ReadCounts(counts, read_len, sum(counts.values()), seed=5)
+        rc = ReadCounts(codes_to_keys(codes, read_len), [counts[c] for c in codes], read_len,
+                        sum(counts.values()), seed=5)
         rc.save(tmp_path / "reads.tsv")
         # the per-code lex_decode loop the packed-key save replaces
         header = {"read_length": read_len, "total": rc.total, "seed": 5}
@@ -231,7 +245,7 @@ class TestReadCountsIO:
         lines += [f"{lex_decode(c, read_len)}\t{counts[c]}" for c in sorted(counts)]
         (tmp_path / "want.tsv").write_text("\n".join(lines) + "\n")
         assert (tmp_path / "reads.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
-        assert ReadCounts.load(tmp_path / "reads.tsv").counts == counts
+        assert dict(code_items(ReadCounts.load(tmp_path / "reads.tsv"))) == counts
 
     @pytest.mark.parametrize("kmer", ["AC", "ACGT"])
     def test_load_rejects_kmer_of_wrong_length(self, tmp_path, kmer):
@@ -240,6 +254,45 @@ class TestReadCountsIO:
                         f"ACG\t2\n{kmer}\t5\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: k-mer {kmer!r}")):
             ReadCounts.load(path)
+
+    @pytest.mark.parametrize("body, line, read_len", [
+        ("AA\t3\nAA\t3\n", 3, 2),                       # total 3: the old dict kept one
+        ("AC\t1\n\nGT\t2\nCA\t4\nGT\t2\n", 6, 2),
+        ("A" * 40 + "\t1\n" + "C" * 40 + "\t1\n" + "A" * 40 + "\t1\n", 4, 40),
+    ])
+    def test_load_rejects_repeated_kmer(self, tmp_path, body, line, read_len):
+        path = tmp_path / "reads.tsv"
+        path.write_text(f'#{{"read_length": {read_len}, "seed": null, "total": 3}}\n' + body)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: k-mer ")
+                           + ".* repeats line"):
+            ReadCounts.load(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("ACG\t2\nACT 5\n", "line 3: expected 'kmer<TAB>count'"),
+        ("ACG\t2\nACT\t5\t1\n", "line 3: expected 'kmer<TAB>count'"),
+        ("ACG\t2\nACT\tfive\n", "line 3: count 'five' is not an integer"),
+        ("ACG\t2\nANT\t5\n", "line 3: k-mer 'ANT' holds 'N'"),
+        ("ACG\t2\nACT\t5\nacg\t1\n", "line 4: k-mer 'acg' holds 'a'"),
+        ("ACG\t2\nACT\t0\n", "line 3: count 0 is not positive"),
+        ("ACG\t2\nACT\t-5\n", "line 3: count -5 is not positive"),
+    ], ids=["space", "three_fields", "not_integer", "base_n", "lowercase", "zero", "negative"])
+    def test_load_names_malformed_line(self, tmp_path, body, message):
+        path = tmp_path / "reads.tsv"
+        path.write_text('#{"read_length": 3, "seed": null, "total": 7}\n' + body)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            ReadCounts.load(path)
+
+    def test_producers_hand_over_distinct_keys(self, tmp_path):
+        A = build_matrix(db_of("ACGT" * 12, "A" * 40 + "C", "GGCATTGACCATGGCATTTCGATTTCGAACG"), 33)
+        rc = simulate_reads(A, FrequencyVector([0.5, 0.3, 0.2], "species", normalized=True),
+                            5000, seed=1)
+        reads = ["ACGT" * 10, "acgt" * 10, "T" * 33, "ACGT" * 9 + "AAAA", "T" * 40]
+        path = tmp_path / "reads.txt"
+        path.write_text("\n".join(reads * 50) + "\n")
+        for rc in (rc, read_counts_from_reads(path, 33)):
+            assert rc.keys.dtype == np.uint64 and rc.keys.shape[1] == 2
+            assert len(np.unique(rc.keys, axis=0)) == len(rc.keys) == len(rc.counts)
+            assert rc.counts.dtype == np.int64 and rc.counts.sum() == rc.total
 
     def test_mixture_spec_roundtrip(self, tmp_path):
         mix = sample_power_law_mixture(100, 5, 1.0, seed=12)
@@ -293,7 +346,7 @@ class TestPackedKeyReadPaths:
         counts, short, invalid = self.reference_read_counts(
             [ln for ln in lines if ln.strip()], read_len)
         rc = read_counts_from_reads(path, read_len)
-        assert list(rc.counts.items()) == list(counts.items())
+        assert code_items(rc) == list(counts.items())
         assert (rc.skipped_short, rc.skipped_invalid) == (short, invalid)
         assert invalid and (short or read_len == 1)    # a kept line has a base
 
@@ -316,11 +369,12 @@ class TestPackedKeyReadPaths:
                 chosen[sel] = m.indices[m.indptr[b] + np.searchsorted(col_cum, v[sel],
                                                                       side="right")]
             rows, cnts = np.unique(chosen, return_counts=True)
-            want = {A.row_codes[r]: int(c) for r, c in zip(rows, cnts)}
-            assert list(rc.counts.items()) == list(want.items())
+            row_codes = keys_to_codes(A.index.keys)
+            want = {row_codes[r]: int(c) for r, c in zip(rows, cnts)}
+            assert code_items(rc) == list(want.items())
             y = np.zeros(A.n_rows)
-            code_to_row = {c: i for i, c in enumerate(A.row_codes)}
-            for code, c in rc.counts.items():
+            code_to_row = {c: i for i, c in enumerate(row_codes)}
+            for code, c in code_items(rc):
                 y[code_to_row[code]] = c / rc.total
             assert np.array_equal(empirical_frequencies(rc, A).y, y)
 
@@ -362,7 +416,7 @@ def outcome(parse, path, read_len):
 
 def parsed(path, read_len):
     rc = read_counts_from_reads(path, read_len)
-    return list(rc.counts.items()), rc.total, rc.skipped_short, rc.skipped_invalid
+    return code_items(rc), rc.total, rc.skipped_short, rc.skipped_invalid
 
 
 class TestByteParserOracle:

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import json
 import pickle
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,9 @@ from readprofiler.read_matrix import (
     unweight_from_dna,
 )
 from readprofiler.reconstruct import DncParams, divide_and_conquer
-from readprofiler.sequence_db import SequenceDatabase, lex_decode
+from readprofiler.mixture_sim import read_counts_from_reads
+from readprofiler.sequence_db import KmerIndex, SequenceDatabase, codes_to_keys, \
+    keys_to_codes, lex_decode
 
 
 def db_of(*seqs):
@@ -56,7 +60,7 @@ def to_dense_4l(A):
     """Expand a compacted matrix back to 4^L x N."""
     out = np.zeros((4 ** A.read_length, A.n_species))
     compact = A.matrix.toarray()
-    for rid, code in enumerate(A.row_codes):
+    for rid, code in enumerate(keys_to_codes(A.index.keys)):
         out[code - 1] = compact[rid]
     return out
 
@@ -64,19 +68,19 @@ def to_dense_4l(A):
 class TestBuildMatrix:
     def test_single_sequence_windows(self):
         A = build_matrix(db_of("ACGT"), 2)
-        kmers = {lex_decode(c, 2) for c in A.row_codes}
+        kmers = {lex_decode(c, 2) for c in keys_to_codes(A.index.keys)}
         assert kmers == {"AC", "CG", "GT"}
         np.testing.assert_allclose(A.matrix.toarray().ravel(), [1 / 3] * 3)
 
     def test_repeated_kmer_single_row(self):
         A = build_matrix(db_of("AAAA"), 2)
         assert A.n_rows == 1
-        assert lex_decode(A.row_codes[0], 2) == "AA"
+        assert lex_decode(keys_to_codes(A.index.keys)[0], 2) == "AA"
         assert A.matrix.toarray()[0, 0] == 1.0
 
     def test_short_sequence_uniform_tail(self):
         A = build_matrix(db_of("AC"), 3)
-        kmers = {lex_decode(c, 3) for c in A.row_codes}
+        kmers = {lex_decode(c, 3) for c in keys_to_codes(A.index.keys)}
         assert kmers == {"ACA", "ACC", "ACG", "ACT"}
         np.testing.assert_array_equal(A.matrix.toarray().ravel(), [0.25] * 4)
 
@@ -123,7 +127,7 @@ class TestBuildMatrix:
     def test_deterministic_rebuild(self):
         db = db_of("ACGTACGTAC", "GGCATTGA")
         a1, a2 = build_matrix(db, 3), build_matrix(db, 3)
-        assert a1.row_codes == a2.row_codes
+        np.testing.assert_array_equal(a1.index.keys, a2.index.keys)
         assert (a1.matrix != a2.matrix).nnz == 0
 
 
@@ -138,7 +142,7 @@ class TestSerialization:
         A.save(path)
         B = ReadSamplingMatrix.load(path)
         assert B.read_length == A.read_length
-        assert B.row_codes == A.row_codes
+        np.testing.assert_array_equal(B.index.keys, A.index.keys)
         np.testing.assert_array_equal(B.col_lengths, A.col_lengths)
         assert (B.matrix != A.matrix).nnz == 0
 
@@ -156,16 +160,15 @@ class TestSerialization:
     ])
     def test_row_index_handed_over_intact(self, tmp_path, seqs, L):
         A = build_matrix(db_of(*seqs), L)
-        np.testing.assert_array_equal(A.rows_of(A.row_codes), np.arange(A.n_rows))
+        np.testing.assert_array_equal(A.index.rows_of(A.index.keys), np.arange(A.n_rows))
         built, rebuilt = tmp_path / "built", tmp_path / "rebuilt"
         A.save(built)
-        ReadSamplingMatrix(A.read_length, A.matrix, A.row_codes, A.col_lengths,
-                           A.tail_convention).save(rebuilt)
+        ReadSamplingMatrix(A.read_length, A.matrix, KmerIndex(A.index.keys.copy()),
+                           A.col_lengths).save(rebuilt)
         assert built.read_bytes() == rebuilt.read_bytes()
         B = ReadSamplingMatrix.load(built)
-        assert B.row_codes == A.row_codes
         np.testing.assert_array_equal(B.index.keys, A.index.keys)
-        np.testing.assert_array_equal(B.rows_of(A.row_codes), np.arange(A.n_rows))
+        np.testing.assert_array_equal(B.index.rows_of(A.index.keys), np.arange(A.n_rows))
         B.save(tmp_path / "reloaded")
         assert (tmp_path / "reloaded").read_bytes() == built.read_bytes()
 
@@ -214,17 +217,20 @@ def reference_build(db, read_len):
                 vals.append(4.0 ** -tail_len)
     matrix = sp.csc_matrix((np.array(vals), (np.array(rows), np.array(cols))),
                            shape=(len(code_to_row), len(db)))
-    return ReadSamplingMatrix(read_len, matrix, list(code_to_row), np.array(db.lengths))
+    return list(code_to_row), matrix.tocsc(), np.array(db.lengths)
 
 
 def assert_same_matrix(A, ref, tmp_path):
+    codes, matrix, lengths = ref
+    matrix.sort_indices()
     for attr in ("data", "indices", "indptr"):
-        got, want = getattr(A.matrix, attr), getattr(ref.matrix, attr)
+        got, want = getattr(A.matrix, attr), getattr(matrix, attr)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-    assert A.row_codes == ref.row_codes
+    assert keys_to_codes(A.index.keys) == codes
     A.save(tmp_path / "got")
-    ref.save(tmp_path / "want")
+    ReadSamplingMatrix(A.read_length, matrix, KmerIndex(codes_to_keys(codes, A.read_length)),
+                       lengths).save(tmp_path / "want")
     assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
 
 
@@ -264,9 +270,8 @@ class TestPackedKeyOracle:
         tails = 0
         for db, L in cases:
             A = build_matrix(db, L)
-            assert A._codes is None             # built from keys alone
             assert_same_matrix(A, reference_build(db, L), tmp_path)
-            np.testing.assert_array_equal(A.rows_of(A.row_codes), np.arange(A.n_rows))
+            np.testing.assert_array_equal(A.index.rows_of(A.index.keys), np.arange(A.n_rows))
             tails += any(n < L for n in db.lengths)
         assert tails >= 10
 
@@ -282,13 +287,14 @@ class TestPackedKeyOracle:
             db = db_of(*seqs, seqs[0][:L - 2] if L > 2 else "G", "A" * (L + 5))
             A = build_matrix(db, L)
             assert_same_matrix(A, reference_build(db, L), tmp_path)
-            np.testing.assert_array_equal(A.rows_of(A.row_codes), np.arange(A.n_rows))
-            absent = sorted(set(range(1, 4 ** L + 1, max(1, 4 ** L // 997))) - set(A.row_codes))
-            assert (A.rows_of(absent[:50]) == -1).all()
+            np.testing.assert_array_equal(A.index.rows_of(A.index.keys), np.arange(A.n_rows))
+            present = set(keys_to_codes(A.index.keys))
+            absent = sorted(set(range(1, 4 ** L + 1, max(1, 4 ** L // 997))) - present)
+            assert (A.index.rows_of(codes_to_keys(absent[:50], L)) == -1).all()
             loaded = tmp_path / "A.rsm"
             A.save(loaded)
             B = ReadSamplingMatrix.load(loaded)
-            np.testing.assert_array_equal(B.rows_of(A.row_codes[::-1]),
+            np.testing.assert_array_equal(B.index.rows_of(A.index.keys[::-1]),
                                           np.arange(A.n_rows)[::-1])
 
     # sha256 of save() for fixed databases, computed with the big-int builder;
@@ -308,16 +314,38 @@ class TestPackedKeyOracle:
         build_matrix(db, L).save(tmp_path / "A.rsm")
         assert hashlib.sha256((tmp_path / "A.rsm").read_bytes()).hexdigest() == digest
 
-    def test_timed_path_never_lists_row_codes(self):
-        # the decimal codes of every row are for files only: a profile run
-        # converts just the rows its reads touch
-        A = build_matrix(generate_random_db(300, 200, seed=12), 40)
+    def test_timed_paths_never_convert_codes(self, tmp_path, monkeypatch):
+        # decimal codes are for the matrix file only: the profile and raw-read
+        # paths work on packed keys from end to end
+        def refuse(*args):
+            raise AssertionError("a k-mer code conversion on a timed path")
+
+        for module in list(sys.modules.values()):
+            if (module.__name__ or "").startswith("readprofiler"):
+                for name in ("keys_to_codes", "codes_to_keys"):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, refuse)
+        db = generate_random_db(300, 200, seed=12)
+        A = build_matrix(db, 40)
         gram_lambda_min(A)
         mix = sample_power_law_mixture(300, 10, 1.0, seed=13)
         rc = simulate_reads(A, mix.full_vector(300), 20000, seed=14)
         y = empirical_frequencies(rc, A).y
         divide_and_conquer(A, y, DncParams(seed=15))
-        assert A._codes is None
+        reads = tmp_path / "reads.txt"
+        reads.write_text("".join(r.sequence[i:i + 45] + "\n"
+                                 for r in db.records[:50] for i in (0, 7, 7, 100)))
+        emp = empirical_frequencies(read_counts_from_reads(reads, 40), A)
+        assert emp.total == 200 and emp.unmapped_reads == 0
+
+    def test_load_rejects_other_tail_convention(self, tmp_path):
+        build_matrix(db_of("ACGTACGT", "AC"), 3).save(tmp_path / "A.rsm")
+        header, payload = (tmp_path / "A.rsm").read_bytes().split(b"\n", 1)
+        assert json.loads(header)["tail_convention"] == "uniform-tail"
+        fields = json.loads(header) | {"tail_convention": "zero-tail"}
+        (tmp_path / "B.rsm").write_bytes(json.dumps(fields).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match="tail convention 'zero-tail'"):
+            ReadSamplingMatrix.load(tmp_path / "B.rsm")
 
 
 class TestGramCache:
