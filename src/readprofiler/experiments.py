@@ -44,16 +44,16 @@ def generate_random_db(n: int, length: int, seed: int) -> SequenceDatabase:
     if n > 4 ** length:
         raise ValueError(f"cannot draw {n} distinct sequences of length {length}")
     rng = np.random.default_rng(seed)
-    base = np.array(list(ALPHABET))
+    letters = np.frombuffer(ALPHABET.encode(), dtype=np.uint8)
     seqs: list[str] = []
     seen: set[str] = set()
     batch = n
     while len(seqs) < n:
-        arr = rng.integers(0, 4, size=(batch, length))
-        for row in arr:
+        text = letters[rng.integers(0, 4, size=(batch, length))].tobytes().decode()
+        for at in range(0, batch * length, length):
             if len(seqs) >= n:
                 break
-            s = "".join(base[row])
+            s = text[at:at + length]
             if s in seen:
                 continue
             seen.add(s)

@@ -24,6 +24,7 @@ from .sequence_db import (
     key_words,
     kmer_keys,
     read_bytes,
+    require_fields,
 )
 
 logger = logging.getLogger(__name__)
@@ -81,7 +82,8 @@ class MixtureSpec:
 
     @classmethod
     def load(cls, path) -> "MixtureSpec":
-        d = json.loads(Path(path).read_text())
+        d = require_fields(json.loads(Path(path).read_text()), path,
+                           "support", "frequencies")
         return cls(np.array(d["support"]), np.array(d["frequencies"]),
                    d.get("seed", 0), d.get("generator_tag", "manual"))
 
@@ -155,7 +157,7 @@ class ReadCounts:
         lines = Path(path).read_text().splitlines()
         if not lines or not lines[0].startswith("#"):
             raise ValueError(f"{path}: missing JSON header line")
-        header = json.loads(lines[0][1:])
+        header = require_fields(json.loads(lines[0][1:]), path, "read_length", "total")
         L = header["read_length"]
         numbers, kmers, counts = [], [], []
         for number, line in enumerate(lines[1:], start=2):
@@ -323,13 +325,88 @@ def read_counts_from_reads(path, read_length: int) -> ReadCounts:
                       skipped_short=short, skipped_invalid=invalid)
 
 
+def _pow2_at_least(n) -> np.ndarray:
+    """The smallest power of two >= each n >= 1."""
+    return np.left_shift(1, np.frexp(np.asarray(n) - 1)[1].astype(np.int64))
+
+
+def _run_cumsums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``np.cumsum`` of each run of ``values``, the runs of the given sizes
+    laid end to end. Each run is added up left to right, as ``np.cumsum``
+    adds it, so the sums are the same bit for bit; runs of one power-of-two
+    width are summed side by side in one zero-padded block, so padding at
+    most doubles the work."""
+    out = np.empty(len(values))
+    stop = np.cumsum(sizes)
+    width = _pow2_at_least(sizes)
+    for w in np.unique(width):
+        runs = np.flatnonzero(width == w)
+        at = (stop[runs] - sizes[runs])[:, None] + np.arange(w)
+        inside = at < stop[runs, None]
+        block = np.zeros(at.shape)
+        block[inside] = values[at[inside]]
+        out[at[inside]] = block.cumsum(axis=1)[inside]
+    return out
+
+
+def _guide_invert(cum: np.ndarray, sizes, run, v: np.ndarray) -> np.ndarray:
+    """Inversion by guide table (Chen & Asau 1974; Devroye, *Non-Uniform
+    Random Variate Generation*, 1986, section III.2.4).
+
+    ``cum`` holds cumulatives of the given sizes end to end, each
+    nondecreasing but for its last entry, 1.0, which may sit below a
+    predecessor rounded up past 1. For each draw ``v`` in [0, 1) of
+    cumulative ``run`` (an array, or one index for all draws), returns the
+    index in ``cum`` of that cumulative's first entry above ``v``: its
+    ``searchsorted(..., v, "right")`` plus its start. The entries <= v are a
+    prefix of the cumulative, so that answer is well defined.
+
+    A cumulative of n entries gets M buckets, M the power of two >= n, and
+    guide row j holds its first entry above j / M. A draw starts at row
+    j = floor(v M) and advances while the entry is <= v. As M is a power of
+    two, v M and j / M are exact, so j / M <= v holds exactly and the row
+    never passes the answer; the advance compares the same floats as
+    ``searchsorted`` and stops at the last entry, 1.0 > v. M >= n keeps the
+    expected advance at most one entry whatever the weights, and the table
+    within 2n rows; a bound from the smallest weight would have neither.
+    """
+    buckets = _pow2_at_least(sizes)
+    first = np.cumsum(buckets + 1) - (buckets + 1)
+    owner = np.repeat(np.arange(len(buckets)), sizes)
+    # an entry c counts in slot ceil(c M) of its cumulative, those above
+    # (M - 1) / M in slot M; the running count is then each row's answer
+    scale = buckets[owner]
+    slot = first[owner] + np.minimum(np.ceil(cum * scale), scale).astype(np.int64)
+    guide = np.cumsum(np.bincount(slot))
+    scale = buckets[run]
+    pos = guide[first[run] + (v * scale).astype(np.int64)]
+    todo = np.flatnonzero(cum[pos] <= v)
+    while todo.size:
+        pos[todo] += 1
+        todo = todo[cum[pos[todo]] <= v[todo]]
+    return pos
+
+
 def simulate_reads(A: ReadSamplingMatrix, x: FrequencyVector, n_reads: int,
                    seed: int) -> ReadCounts:
     """Draw ``n_reads`` i.i.d. reads from the mixture model.
 
-    Species are drawn by inversion against the cumulative DNA-weighted
-    frequencies, reads by inversion against the species' column cumulative.
-    Deterministic given the seed.
+    Read i takes the species at ``searchsorted(cum, u[i], "right")`` of the
+    cumulative DNA-weighted frequencies (last entry forced to 1.0), then the
+    row at ``searchsorted(col_cum, v[i], "right")`` of that species' column
+    cumulative (last entry forced to 1.0), with ``u`` and ``v`` the first and
+    second ``n_reads`` uniforms of the seeded generator. Deterministic given
+    the seed.
+
+    Both searches are inversions by guide table (see :func:`_guide_invert`),
+    which return exactly what ``searchsorted`` returns, so the same ``u``,
+    ``v`` and cumulatives give the same counts bit for bit. Species are
+    found among the strict steps of ``cum`` and its forced last entry only:
+    the first entry above u is the first entry or one above its predecessor,
+    never a zero-weight species' repeat of it. Reads are found in one pass
+    over the concatenated column cumulatives of the drawn species, each with
+    its own guide rows. A drawn species whose column is empty raises
+    ValueError.
     """
     if n_reads < 1:
         raise ValueError("need at least one read")
@@ -342,25 +419,29 @@ def simulate_reads(A: ReadSamplingMatrix, x: FrequencyVector, n_reads: int,
 
     cum = np.cumsum(x_dna.values)
     cum[-1] = 1.0
-    species = np.searchsorted(cum, u, side="right")
+    step = np.append(cum[0] > 0, cum[1:] > cum[:-1])
+    step[-1] = True
+    species = np.flatnonzero(step)
+    pick = _guide_invert(cum[species], [len(species)], 0, u)
 
     m = A.matrix
-    per_species = np.bincount(species, minlength=A.n_species)
-    # a stable sort keeps each species' draws in order; 16-bit labels sort by radix
-    by_species = np.argsort(species.astype(np.min_scalar_type(A.n_species)), kind="stable")
-    chosen_rows = np.empty(n_reads, dtype=np.int64)
-    stop = np.cumsum(per_species)
-    for b in np.flatnonzero(per_species):
-        sel = by_species[stop[b] - per_species[b]:stop[b]]
-        start, end = m.indptr[b], m.indptr[b + 1]
-        if start == end:
-            raise ValueError(f"species column {b} is empty")
-        col_cum = np.cumsum(m.data[start:end])
-        col_cum[-1] = 1.0
-        idx = np.searchsorted(col_cum, v[sel], side="right")
-        chosen_rows[sel] = m.indices[start + idx]
+    # the column cumulatives of the drawn species, end to end
+    hit = np.bincount(pick, minlength=len(species)) > 0
+    drawn = species[hit]
+    start = m.indptr[drawn]
+    sizes = m.indptr[drawn + 1] - start
+    if not sizes.all():
+        raise ValueError(f"species column {drawn[sizes == 0][0]} is empty")
+    stop = np.cumsum(sizes)
+    entries = np.repeat(start - (stop - sizes), sizes) + np.arange(stop[-1])
+    col_cum = _run_cumsums(m.data[entries], sizes)
+    col_cum[stop - 1] = 1.0
+    run = (np.cumsum(hit) - 1)[pick]        # each read's species among the drawn
+    read = _guide_invert(col_cum, sizes, run, v)
 
-    per_row = np.bincount(chosen_rows)
+    # columns that share a k-mer share its row
+    per_row = np.zeros(A.n_rows, dtype=np.int64)
+    np.add.at(per_row, m.indices[entries], np.bincount(read, minlength=len(entries)))
     rows = np.flatnonzero(per_row)
     return ReadCounts(A.index.keys[rows], per_row[rows], A.read_length, n_reads, seed=seed)
 

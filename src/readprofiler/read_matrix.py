@@ -24,6 +24,7 @@ from .sequence_db import (
     codes_to_keys,
     keys_to_codes,
     kmer_keys,
+    require_fields,
 )
 
 COLUMN_SUM_TOL = 1e-12
@@ -189,8 +190,10 @@ class ReadSamplingMatrix:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode())
             payload = fh.read()
-        if header.get("format") != _MATRIX_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != _MATRIX_FORMAT:
             raise ValueError(f"{path}: not a read-sampling matrix file")
+        require_fields(header, path, "checksum", "tail_convention", "read_length",
+                       "n_rows", "n_species", "nnz")
         if hashlib.sha256(payload).hexdigest() != header["checksum"]:
             raise ValueError(f"{path}: checksum mismatch")
         if header["tail_convention"] != TAIL_CONVENTION:

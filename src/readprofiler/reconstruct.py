@@ -19,6 +19,7 @@ import numpy as np
 from .identifiability import diagonal_block_full_rank, null_space_flags_from_gram
 from .nnls import DEFAULT_KKT_TOL, X_TOL, NnlsSolution, nnls_from_gram, residual_norm
 from .read_matrix import FrequencyVector, ReadSamplingMatrix, unweight_from_dna
+from .sequence_db import require_fields
 
 logger = logging.getLogger(__name__)
 
@@ -93,7 +94,8 @@ class ReconstructionReport:
 
 def load_estimate(path) -> FrequencyVector:
     """Read the species frequency vector back out of a saved report."""
-    d = json.loads(Path(path).read_text())
+    d = require_fields(json.loads(Path(path).read_text()), path,
+                       "n_species", "support", "frequencies", "empty")
     x = np.zeros(d["n_species"])
     x[np.array(d["support"], dtype=int) - 1] = d["frequencies"]
     return FrequencyVector(x, "species", normalized=not d["empty"])

@@ -1,5 +1,5 @@
 """Reference sequence database: FASTA ingestion, dedup, k-mer codes and
-packed k-mer keys."""
+packed k-mer keys, and the input-file helpers the loaders share."""
 
 from __future__ import annotations
 
@@ -337,6 +337,18 @@ def read_bytes(path) -> bytes:
     (the same ``.gz`` suffix rule as FASTA input)."""
     data = Path(path).read_bytes()
     return gzip.decompress(data) if Path(path).suffix == ".gz" else data
+
+
+def require_fields(record, path, *names: str) -> dict:
+    """``record``, a JSON value read from ``path``, once it is checked to be
+    an object holding every named field; otherwise ValueError naming the file
+    and the first missing field."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(record).__name__}")
+    for name in names:
+        if name not in record:
+            raise ValueError(f"{path}: missing field {name!r}")
+    return record
 
 
 def iter_fasta(path) -> Iterator[tuple[str, str]]:

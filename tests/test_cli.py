@@ -117,6 +117,45 @@ class TestPipelineCommands:
                    "--reads", str(pipeline_dir / "reads.tsv"), "--out", str(est)) == 2
         assert not est.exists()
 
+    def test_reconstruct_counts_without_total_exits_2(self, pipeline_dir, tmp_path, capsys):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text('#{"read_length": 8}\nACGTACGT\t5\n')
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(counts), "--out", str(est)) == 2
+        assert not est.exists()
+        assert f"{counts}: missing field 'total'" in capsys.readouterr().err
+
+    def test_reconstruct_matrix_without_nnz_exits_2(self, pipeline_dir, tmp_path, capsys):
+        header, payload = (pipeline_dir / "matrix.bin").read_bytes().split(b"\n", 1)
+        fields = json.loads(header)
+        del fields["nnz"]
+        matrix = tmp_path / "matrix.bin"
+        matrix.write_bytes(json.dumps(fields, sort_keys=True).encode() + b"\n" + payload)
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--matrix", str(matrix),
+                   "--reads", str(pipeline_dir / "reads.tsv"), "--out", str(est)) == 2
+        assert not est.exists()
+        assert f"{matrix}: missing field 'nnz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which,field", [("truth", "frequencies"), ("estimate", "empty")])
+    def test_evaluate_input_without_field_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                                  which, field):
+        files = {"truth": pipeline_dir / "truth.json", "estimate": tmp_path / "est.json"}
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(pipeline_dir / "reads.tsv"),
+                   "--out", str(files["estimate"])) == 0
+        broken = json.loads(files[which].read_text())
+        del broken[field]
+        files[which] = tmp_path / f"broken-{which}.json"
+        files[which].write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert run("evaluate", "--truth", str(files["truth"]),
+                   "--estimate", str(files["estimate"]),
+                   "--matrix", str(pipeline_dir / "matrix.bin"), "--reads-count", "20000",
+                   "--skip-lambda", "--out", str(tmp_path / "eval.json")) == 2
+        assert f"{files[which]}: missing field {field!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fastq", [False, True])
     def test_reconstruct_gzipped_raw_reads(self, pipeline_dir, tmp_path, fastq):
         seq = parse_fasta(pipeline_dir / "db.fasta").records[0].sequence

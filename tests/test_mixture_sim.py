@@ -6,17 +6,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.stats
 
+from readprofiler.experiments import generate_random_db
 from readprofiler.mixture_sim import (
     MixtureSpec,
     ReadCounts,
+    _guide_invert,
+    _run_cumsums,
     empirical_frequencies,
     read_counts_from_reads,
     sample_power_law_mixture,
     simulate_reads,
 )
-from readprofiler.read_matrix import FrequencyVector, build_matrix, reweight_to_dna
+from readprofiler.read_matrix import FrequencyVector, ReadSamplingMatrix, build_matrix, \
+    reweight_to_dna
 from readprofiler.sequence_db import SequenceDatabase, base_digits, codes_to_keys, \
     keys_to_codes, kmer_keys, lex_decode, lex_encode
 
@@ -99,6 +104,39 @@ class TestSimulateReads:
         emp = empirical_frequencies(rc, A)
         col = A.matrix.toarray()[:, 0]
         assert 0.5 * np.abs(emp.y - col).sum() <= 0.01
+
+    def test_guide_inversion_matches_searchsorted_at_boundaries(self):
+        rng = np.random.default_rng(5)
+        cums, v, run, want = [], [], [], []
+        for r, n in enumerate((1, 2, 3, 7, 64, 65, 300)):
+            w = rng.random(n) * (rng.random(n) < 0.7)       # ties from zero weights
+            cum = np.cumsum(w / max(w.sum(), 1e-300))
+            if r == 3:
+                cum[-2] = np.nextafter(1.0, 2.0)            # rounded past 1
+            cum[-1] = 1.0
+            M = 1 << max(n - 1, 0).bit_length()
+            # every entry, its neighbours, and every bucket edge j / M
+            at = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 2),
+                                 np.arange(M) / M, [0.0, np.nextafter(1.0, 0)],
+                                 rng.random(50)])
+            at = at[(at >= 0) & (at < 1)]
+            cums.append(cum)
+            v.append(at)
+            run.append(np.full(len(at), r))
+            want.append(sum(map(len, cums[:-1])) + np.searchsorted(cum, at, side="right"))
+        cum, v, run = np.concatenate(cums), np.concatenate(v), np.concatenate(run)
+        sizes = [len(c) for c in cums]
+        np.testing.assert_array_equal(_guide_invert(cum, sizes, run, v), np.concatenate(want))
+        np.testing.assert_array_equal(_guide_invert(cums[5], [sizes[5]], 0, v[run == 5]),
+                                      want[5] - sum(sizes[:5]))
+
+    def test_run_cumsums_are_per_run_cumsums_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        sizes = np.array([1, 2, 3, 4, 5, 31, 32, 33, 401, 1000, 1, 7])
+        values = rng.random(sizes.sum()) / rng.integers(1, 1000, sizes.sum())
+        runs = np.split(values, np.cumsum(sizes)[:-1])
+        np.testing.assert_array_equal(_run_cumsums(values, sizes),
+                                      np.concatenate([np.cumsum(r) for r in runs]))
 
     def test_chi_square_goodness_of_fit(self):
         # model-fidelity oracle: chi-square of simulated counts vs R * (A x')
@@ -350,33 +388,108 @@ class TestPackedKeyReadPaths:
         assert (rc.skipped_short, rc.skipped_invalid) == (short, invalid)
         assert invalid and (short or read_len == 1)    # a kept line has a base
 
+    @staticmethod
+    def mask_loop_counts(A, x, n_reads, seed) -> list[tuple[int, int]]:
+        """(code, count) of the draws as simulate_reads makes them, mapped
+        species by species with a full searchsorted each."""
+        rng = np.random.default_rng(seed)
+        u, v = rng.random(n_reads), rng.random(n_reads)
+        x_dna = x if x.kind == "dna" else reweight_to_dna(x, A.col_lengths)
+        cum = np.cumsum(x_dna.values)
+        cum[-1] = 1.0
+        species = np.searchsorted(cum, u, side="right")
+        m, chosen = A.matrix, np.empty(n_reads, dtype=np.int64)
+        for b in np.unique(species):
+            sel = species == b
+            col_cum = np.cumsum(m.data[m.indptr[b]:m.indptr[b + 1]])
+            col_cum[-1] = 1.0
+            chosen[sel] = m.indices[m.indptr[b] + np.searchsorted(col_cum, v[sel],
+                                                                  side="right")]
+        rows, cnts = np.unique(chosen, return_counts=True)
+        row_codes = keys_to_codes(A.index.keys)
+        return [(row_codes[r], int(c)) for r, c in zip(rows, cnts)]
+
     def test_simulate_and_map_match_mask_loop(self):
+        # "CA" is a tail species at L=4; "AAAAAAC" and "ACACACAC" repeat
+        # k-mers, so their columns have unequal weights
+        seqs = ("ACGTACGGTTACGATTGCA", "GGCATTGACCATGA", "TTTAGC", "CA")
+        small = build_matrix(db_of(*seqs, "AAAAAAC", "ACACACAC"), 4)
+        large = build_matrix(generate_random_db(2000, 500, seed=21), 100)
+        cases = [
+            (build_matrix(db_of(*seqs), 4),
+             FrequencyVector([0.4, 0.3, 0.2, 0.1], "species", normalized=True),
+             ((1, 1), (50, 2), (5000, 3))),
+            (small, FrequencyVector([0.3, 0.2, 0.2, 0.1, 0.1, 0.1], "species",
+                                    normalized=True), ((5000, 8),)),
+            (small, FrequencyVector([0.1, 0.1, 0.2, 0.2, 0.3, 0.1], "dna",
+                                    normalized=True), ((5000, 4),)),
+            # zero weight in the middle of the support and at its end
+            (small, FrequencyVector([0.4, 0.0, 0.2, 0.0, 0.4, 0.0], "species",
+                                    normalized=True), ((5000, 5),)),
+            # cum[-2] = 0.6, so the zero-weight last species takes the draws
+            # that reach the forced cum[-1] = 1.0
+            (small, FrequencyVector([0.3, 0.0, 0.0, 0.0, 0.3, 0.0], "dna"), ((5000, 6),)),
+            (large, sample_power_law_mixture(2000, 20, 1.0, seed=22).full_vector(2000),
+             ((10 ** 5, 7),)),
+        ]
+        for A, mix, draws in cases:
+            for n_reads, seed in draws:
+                rc = simulate_reads(A, mix, n_reads, seed)
+                want = self.mask_loop_counts(A, mix, n_reads, seed)
+                assert code_items(rc) == want
+                y = np.zeros(A.n_rows)
+                code_to_row = {c: i for i, c in enumerate(keys_to_codes(A.index.keys))}
+                for code, c in want:
+                    y[code_to_row[code]] = c / rc.total
+                assert np.array_equal(empirical_frequencies(rc, A).y, y)
+        # the premise of the forced-step case: some reads come from species 5
+        last = self.mask_loop_counts(small, cases[4][1], 5000, 6)
+        assert {code for code, _ in last} & set(
+            keys_to_codes(small.index.keys[small.matrix[:, 5].indices]))
+
+    def test_simulate_matches_mask_loop_on_boundary_draws(self, monkeypatch):
+        # draws that sit on, or one ulp beside, every species and column
+        # cumulative entry: there a sum taken in another order would pick
+        # another species or row
+        A = build_matrix(db_of("ACGTACGGTTACGATTGCA", "GGCATTGACCATGA", "TTTAGC", "CA",
+                               "AAAAAAC", "ACACACAC"), 4)
+        mix = FrequencyVector([0.3, 0.2, 0.0, 0.1, 0.25, 0.15], "species", normalized=True)
+        m = A.matrix
+
+        def near(points):
+            points = np.concatenate([points, np.nextafter(points, 0), np.nextafter(points, 2)])
+            return np.unique(points[(points >= 0) & (points < 1)])
+
+        cum = np.cumsum(reweight_to_dna(mix, A.col_lengths).values)
+        edges = near(np.concatenate([cum[:-1], (cum[:-1] + cum[1:]) / 2]))
+        col_edges = near(np.concatenate([np.cumsum(m.data[m.indptr[b]:m.indptr[b + 1]])[:-1]
+                                         for b in range(A.n_species)]))
+        u, v = (a.ravel() for a in np.meshgrid(edges, col_edges))
+
+        class Draws:
+            def __init__(self, seed):
+                self.left = [u, v]
+
+            def random(self, n):
+                return self.left.pop(0)
+
+        monkeypatch.setattr(np.random, "default_rng", Draws)
+        rc = simulate_reads(A, mix, len(u), seed=0)
+        assert code_items(rc) == self.mask_loop_counts(A, mix, len(u), 0)
+
+    def test_empty_column_raises_only_when_drawn(self):
         A = build_matrix(db_of("ACGTACGGTTACGATTGCA", "GGCATTGACCATGA", "TTTAGC", "CA"), 4)
-        mix = FrequencyVector([0.4, 0.3, 0.2, 0.1], "species", normalized=True)
-        for n_reads, seed in ((1, 1), (50, 2), (5000, 3)):
-            rc = simulate_reads(A, mix, n_reads, seed)
-            # the draws as simulate_reads made them, mapped species by species
-            rng = np.random.default_rng(seed)
-            u, v = rng.random(n_reads), rng.random(n_reads)
-            cum = np.cumsum(reweight_to_dna(mix, A.col_lengths).values)
-            cum[-1] = 1.0
-            species = np.searchsorted(cum, u, side="right")
-            m, chosen = A.matrix, np.empty(n_reads, dtype=np.int64)
-            for b in np.unique(species):
-                sel = species == b
-                col_cum = np.cumsum(m.data[m.indptr[b]:m.indptr[b + 1]])
-                col_cum[-1] = 1.0
-                chosen[sel] = m.indices[m.indptr[b] + np.searchsorted(col_cum, v[sel],
-                                                                      side="right")]
-            rows, cnts = np.unique(chosen, return_counts=True)
-            row_codes = keys_to_codes(A.index.keys)
-            want = {row_codes[r]: int(c) for r, c in zip(rows, cnts)}
-            assert code_items(rc) == list(want.items())
-            y = np.zeros(A.n_rows)
-            code_to_row = {c: i for i, c in enumerate(row_codes)}
-            for code, c in code_items(rc):
-                y[code_to_row[code]] = c / rc.total
-            assert np.array_equal(empirical_frequencies(rc, A).y, y)
+        m = A.matrix @ sp.diags([1.0, 0.0, 1.0, 0.0])
+        m.eliminate_zeros()
+        A = ReadSamplingMatrix(4, m, A.index, A.col_lengths)
+        drawn = FrequencyVector([0.4, 0.3, 0.2, 0.1], "species", normalized=True)
+        with pytest.raises(ValueError, match="species column 1 is empty"):
+            simulate_reads(A, drawn, 100, seed=1)
+        # weight 0, or too little weight to be drawn in 50 reads
+        for w in ([0.5, 0.0, 0.5, 0.0], [0.5, 1e-12, 0.5 - 1e-12, 0.0]):
+            mix = FrequencyVector(w, "species", normalized=True)
+            rc = simulate_reads(A, mix, 50, seed=2)
+            assert code_items(rc) == self.mask_loop_counts(A, mix, 50, 2)
 
 
 def reference_read_counts_from_reads(path, read_len):

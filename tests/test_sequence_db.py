@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from readprofiler.experiments import generate_random_db
 from readprofiler.sequence_db import (
     MAX_CODE_LENGTH,
     AmbiguousBaseError,
@@ -207,3 +208,32 @@ class TestSequenceDatabase:
         assert manifest["n_species"] == 2
         assert manifest["n_max"] == 4
         assert manifest["labels"] == ["x", "y"]
+
+
+class TestRandomDatabase:
+    @staticmethod
+    def per_row_join(n, length, seed):
+        """The draws and collision resampling of generate_random_db, one
+        string join per drawn row."""
+        rng = np.random.default_rng(seed)
+        base = np.array(list("ACGT"))
+        seqs, seen, batch = [], set(), n
+        while len(seqs) < n:
+            for row in rng.integers(0, 4, size=(batch, length)):
+                if len(seqs) >= n:
+                    break
+                s = "".join(base[row])
+                if s not in seen:
+                    seen.add(s)
+                    seqs.append(s)
+            batch = max(8, n - len(seqs))
+        return seqs
+
+    # 16 of the 16 length-2 strings and 60 of 64 length-3 strings need
+    # several rounds of resampling
+    @pytest.mark.parametrize("n,length", [(1, 1), (16, 2), (60, 3), (300, 7), (50, 120)])
+    def test_matches_per_row_join(self, n, length):
+        for seed in range(4):
+            db = generate_random_db(n, length, seed)
+            assert [r.sequence for r in db.records] == self.per_row_join(n, length, seed)
+            assert db.labels == [f"rand_{i + 1:06d}" for i in range(n)]
