@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .identifiability import analyze
+from .identifiability import critical_read_length_scan
 from .mixture_sim import empirical_frequencies, sample_power_law_mixture, simulate_reads
 from .read_matrix import ReadSamplingMatrix, build_matrix
 from .reconstruct import DncParams, divide_and_conquer
@@ -243,7 +243,10 @@ def run_error_vs_reads(cfg: ExperimentConfig):
 
 def run_identifiability_scan(cfg: ExperimentConfig):
     """Per-L identifiable fractions for the configured database and a
-    size-matched random-sequence control. Writes scan.csv and scan.json."""
+    size-matched random-sequence control, each from one
+    :func:`critical_read_length_scan`. The monotonicity violations are the
+    read lengths where either fraction drops; the critical length is the
+    database's. Writes scan.csv and scan.json."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     db = cfg.load_db()
@@ -251,29 +254,23 @@ def run_identifiability_scan(cfg: ExperimentConfig):
     control = generate_random_db(len(db), mean_len, cfg.seed + 1)
 
     l_lo, l_hi = cfg.l_range
-    rows = []
-    prev_db_frac = prev_ctl_frac = -1.0
-    violations = []
-    for read_len in range(l_lo, l_hi + 1):
-        rep_db = analyze(build_matrix(db, read_len))
-        rep_ctl = analyze(build_matrix(control, read_len))
-        db_frac = float(rep_db.partial_flags.mean())
-        ctl_frac = float(rep_ctl.partial_flags.mean())
-        if db_frac < prev_db_frac - 1e-12 or ctl_frac < prev_ctl_frac - 1e-12:
-            violations.append(read_len)
-        prev_db_frac, prev_ctl_frac = db_frac, ctl_frac
-        rows.append({
-            "read_length": read_len,
-            "db_fraction": f"{db_frac:.10f}",
-            "db_identifiable": int(rep_db.identifiable),
-            "control_fraction": f"{ctl_frac:.10f}",
-            "control_identifiable": int(rep_ctl.identifiable),
-        })
+    scan_db = critical_read_length_scan(db, l_lo, l_hi)
+    scan_ctl = critical_read_length_scan(control, l_lo, l_hi)
+    rows = [{
+        "read_length": read_len,
+        "db_fraction": f"{db_frac:.10f}",
+        "db_identifiable": int(db_ident),
+        "control_fraction": f"{ctl_frac:.10f}",
+        "control_identifiable": int(ctl_ident),
+    } for read_len, db_frac, db_ident, ctl_frac, ctl_ident in zip(
+        scan_db.read_lengths, scan_db.fractions, scan_db.fully_identifiable,
+        scan_ctl.fractions, scan_ctl.fully_identifiable)]
+    violations = sorted({*scan_db.monotonicity_violations, *scan_ctl.monotonicity_violations})
+    critical = scan_db.critical_length
     with open(out / "scan.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    critical = next((r["read_length"] for r in rows if r["db_identifiable"]), None)
     (out / "scan.json").write_text(json.dumps({
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),

@@ -11,6 +11,7 @@ connected component of the row/column sparsity graph.
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ logger = logging.getLogger(__name__)
 SV_TOL = 1e-10          # relative rank tolerance; sets the Gram eigenvalue cutoff (_rel_cutoff)
 FLAG_TOL = 1e-8         # row-norm cutoff for null-space membership flags
 GRAM_CAP = 20_000       # columns of the largest dense component Gram
+SUBSTRING_CAP = 2_000   # most sequences find_substring_pairs compares
 # Cholesky full-rank certificate shift, as a multiple of the Gram eigenvalue
 # cutoff (see null_space_flags_from_gram)
 _CERT_MARGIN = 1e3
@@ -39,7 +41,6 @@ class IdentifiabilityReport:
     n_species: int
     partial_flags: np.ndarray
     null_space_dim: int
-    tolerance: float
 
     def __post_init__(self):
         if self.identifiable != (self.rank == self.n_species):
@@ -57,30 +58,38 @@ def decompose_components(A: ReadSamplingMatrix) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
-def check_gram_cap(groups: list[np.ndarray], cap: int) -> None:
-    """Raise ValueError when the largest multi-column group has more than
-    ``cap`` columns, the most a dense component Gram may hold."""
-    largest = max((len(cols) for cols in groups if len(cols) > 1), default=0)
+def split_components(A: ReadSamplingMatrix, cap: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A's components (:func:`decompose_components`) as the columns of every
+    singleton component, ascending, and the multi-column groups in order.
+
+    Raises ValueError when a multi-column group has more than ``cap``
+    columns, the most a dense component Gram may hold; each caller passes
+    its own module's ``GRAM_CAP``.
+    """
+    groups = decompose_components(A)
+    multi = [cols for cols in groups if len(cols) > 1]
+    largest = max(map(len, multi), default=0)
     if largest > cap:
         raise ValueError(f"component of {largest} species exceeds the dense Gram cap {cap}")
+    singles = np.array([cols[0] for cols in groups if len(cols) == 1], dtype=np.intp)
+    return singles, multi
 
 
-def _rel_cutoff(n: int, tol: float) -> float:
+def _rel_cutoff(n: int) -> float:
     """Eigenvalue cutoff of an n x n Gram, relative to its largest one."""
-    return max((tol * n) ** 2, 1e-13)
+    return max((SV_TOL * n) ** 2, 1e-13)
 
 
-def _cert_shift(n: int, trace: float, tol: float) -> float:
+def _cert_shift(n: int, trace: float) -> float:
     """Shift of the Cholesky full-rank certificate for an n x n Gram of trace
     ``trace``: ``_CERT_MARGIN`` times the eigenvalue cutoff or more (see
     null_space_flags_from_gram)."""
-    return _CERT_MARGIN * _rel_cutoff(n, tol) * trace
+    return _CERT_MARGIN * _rel_cutoff(n) * trace
 
 
 def diagonal_block_full_rank(gram_block: sp.csr_matrix) -> bool:
     """Whether a block Gram G that stores only its diagonal d is full rank by
-    :func:`null_space_flags_from_gram` at its default tolerance, without a
-    factorisation.
+    :func:`null_space_flags_from_gram`, without a factorisation.
 
     True when every d_i exceeds the certificate shift delta for G's trace,
     ``d.sum()``. Then diag(d) - delta*I is positive definite, so the
@@ -91,19 +100,17 @@ def diagonal_block_full_rank(gram_block: sp.csr_matrix) -> bool:
     d = gram_block.diagonal()
     # with n stored entries and all n diagonal entries positive, none is off it
     return (gram_block.nnz == n
-            and bool(d.min() > _cert_shift(n, float(d.sum()), SV_TOL)))
+            and bool(d.min() > _cert_shift(n, float(d.sum()))))
 
 
-def null_space_flags_from_gram(gram: np.ndarray, tol: float = SV_TOL,
-                               flag_tol: float = FLAG_TOL,
-                               matrix=None) -> tuple[np.ndarray, int]:
+def null_space_flags_from_gram(gram: np.ndarray, matrix=None) -> tuple[np.ndarray, int]:
     """Flags and rank of a matrix A from its dense Gram G = A'A: the one rank
     and null-space kernel. Returns (flags, rank); a column is flagged
     identifiable when its row of the orthonormal null-space basis (the
-    eigenvectors of G with zero eigenvalue) has norm <= flag_tol.
+    eigenvectors of G with zero eigenvalue) has norm <= ``FLAG_TOL``.
 
     The rank rule counts eigenvalues of G at or below ``ev_max * rel_cutoff``,
-    ``rel_cutoff = max((tol * n) ** 2, 1e-13)``, as zero. A Cholesky
+    ``rel_cutoff = max((SV_TOL * n) ** 2, 1e-13)``, as zero. A Cholesky
     factorisation of G - delta*I with ``delta = _CERT_MARGIN * rel_cutoff *
     trace(G)`` certifies full rank first. If it succeeds, G - delta*I + E is
     positive semidefinite for a backward error ||E||_2 <= (n + 1) * eps *
@@ -118,21 +125,21 @@ def null_space_flags_from_gram(gram: np.ndarray, tol: float = SV_TOL,
 
     The null basis N from ``eigh`` errs by up to about n * eps * ev_max /
     lambda_min in each row norm (Davis-Kahan), lambda_min the smallest kept
-    eigenvalue; that reaches ``flag_tol`` once A's smallest kept singular
+    eigenvalue; that reaches ``FLAG_TOL`` once A's smallest kept singular
     value is ~1e-4 of its largest. Given ``matrix`` (A as CSC), a row norm
-    within that error of ``flag_tol`` triggers one step of iterative
+    within that error of ``FLAG_TOL`` triggers one step of iterative
     refinement: N - V diag(1/lambda) V'A'(AN), with V and lambda the kept
     eigenpairs, is N without its part in A's row space, and is
     orthonormalised again. AN comes from A, not G, so the step leaves an
     error of about eps * ||A|| / sigma_min, as a dense SVD of A would. The
     DnC screen passes no matrix: its error lifts true zero row norms above
-    ``flag_tol``, which keeps such species for the larger joint solve.
+    ``FLAG_TOL``, which keeps such species for the larger joint solve.
     """
     n = gram.shape[0]
     trace = float(np.trace(gram)) if n else 0.0
     if 0.0 < trace < np.inf:
         shifted = np.array(gram, dtype=float, order="F")
-        shifted.flat[::n + 1] -= _cert_shift(n, trace, tol)
+        shifted.flat[::n + 1] -= _cert_shift(n, trace)
         _, info = scipy.linalg.lapack.dpotrf(shifted, lower=True, clean=False,
                                              overwrite_a=True)
         if info == 0:
@@ -141,7 +148,7 @@ def null_space_flags_from_gram(gram: np.ndarray, tol: float = SV_TOL,
     ev_max = max(float(evals[-1]), 0.0)
     if ev_max == 0.0:
         return np.zeros(n, dtype=bool), 0
-    cutoff = ev_max * _rel_cutoff(n, tol)
+    cutoff = ev_max * _rel_cutoff(n)
     null_mask = evals <= cutoff
     rank = n - int(np.count_nonzero(null_mask))
     null_basis = evecs[:, null_mask]
@@ -150,52 +157,49 @@ def null_space_flags_from_gram(gram: np.ndarray, tol: float = SV_TOL,
     row_norms = np.linalg.norm(null_basis, axis=1)
     # evals ascend, so the kept ones are the last ``rank``
     error = n * np.finfo(float).eps * ev_max / evals[n - rank]
-    if matrix is not None and np.any(np.abs(row_norms - flag_tol) <= error):
+    if matrix is not None and np.any(np.abs(row_norms - FLAG_TOL) <= error):
         # A on the rows its columns touch, so AN holds no rows of zeros
         rows, local = np.unique(matrix.indices, return_inverse=True)
         a = sp.csc_matrix((matrix.data, local, matrix.indptr), shape=(len(rows), n))
         kept = evecs[:, n - rank:]
         in_rows = kept @ ((kept.T @ (a.T @ (a @ null_basis))) / evals[n - rank:, None])
         row_norms = np.linalg.norm(np.linalg.qr(null_basis - in_rows)[0], axis=1)
-    return row_norms <= flag_tol, rank
+    return row_norms <= FLAG_TOL, rank
 
 
-def is_identifiable(A: ReadSamplingMatrix, tol: float = SV_TOL) -> tuple[bool, int]:
+def is_identifiable(A: ReadSamplingMatrix) -> tuple[bool, int]:
     """Full identifiability check: (rank == N, rank), from :func:`analyze`."""
-    report = analyze(A, tol=tol)
+    report = analyze(A)
     return report.identifiable, report.rank
 
 
-def partially_identifiable(A: ReadSamplingMatrix, tol: float = SV_TOL,
-                           flag_tol: float = FLAG_TOL) -> np.ndarray:
+def partially_identifiable(A: ReadSamplingMatrix) -> np.ndarray:
     """Per-species identifiability flags, from :func:`analyze`."""
-    return analyze(A, tol=tol, flag_tol=flag_tol).partial_flags
+    return analyze(A).partial_flags
 
 
-def analyze(A: ReadSamplingMatrix, tol: float = SV_TOL,
-            flag_tol: float = FLAG_TOL) -> IdentifiabilityReport:
-    """Full report: rank, per-species flags, null-space dimension.
+def analyze(A: ReadSamplingMatrix) -> IdentifiabilityReport:
+    """Full report: rank, per-species flags, null-space dimension, at the
+    fixed tolerances ``SV_TOL`` and ``FLAG_TOL``.
 
-    :func:`null_space_flags_from_gram` runs on each connected component's
-    dense block of the cached Gram ``A.gram``, with the component's columns
-    of A to refine its null basis. Components share no rows, so A's null
-    space is the direct sum of theirs: their ranks add up to A's, and each
-    species' flag is the one its component gives. Raises ValueError when the
-    largest multi-column component exceeds ``GRAM_CAP`` columns.
+    :func:`null_space_flags_from_gram` runs on each multi-column connected
+    component's dense block of the cached Gram ``A.gram``, with the
+    component's columns of A to refine its null basis. A singleton
+    component is one nonzero column: full rank, its species flagged at rank
+    1, which is what the kernel returns for it. Components share no rows, so
+    A's null space is the direct sum of theirs: their ranks add up to A's,
+    and each species' flag is the one its component gives. Raises ValueError
+    when the largest multi-column component exceeds ``GRAM_CAP`` columns.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     n = A.n_species
-    groups = decompose_components(A)
-    check_gram_cap(groups, GRAM_CAP)
+    singles, multi = split_components(A, GRAM_CAP)
     gram = A.gram
     flags = np.zeros(n, dtype=bool)
-    total_rank = 0
-    for cols in groups:
-        # a single nonzero column is full rank: it has no null basis to refine
-        sub = A.matrix[:, cols] if len(cols) > 1 else None
+    flags[singles] = True
+    total_rank = len(singles)
+    for cols in multi:
         comp_flags, comp_rank = null_space_flags_from_gram(
-            gram[cols][:, cols].toarray(), tol, flag_tol, matrix=sub)
+            gram[cols][:, cols].toarray(), matrix=A.matrix[:, cols])
         flags[cols] = comp_flags
         total_rank += comp_rank
     return IdentifiabilityReport(
@@ -204,24 +208,25 @@ def analyze(A: ReadSamplingMatrix, tol: float = SV_TOL,
         n_species=n,
         partial_flags=flags,
         null_space_dim=n - total_rank,
-        tolerance=tol,
     )
 
 
-def find_substring_pairs(db: SequenceDatabase, cap: int = 2000) -> list[tuple[int, int]]:
+def find_substring_pairs(db: SequenceDatabase) -> list[tuple[int, int]]:
     """Pairs (i, j), 1-based, where sequence i is a substring of sequence j.
 
-    Quadratic scan; skipped (empty result, with a log note) above ``cap``.
+    Sequences are taken in a stable sort by length; each is compared only
+    with the strictly longer ones after it. Quadratic scan; skipped (empty
+    result, with a log note) above ``SUBSTRING_CAP`` sequences.
     """
-    if len(db) > cap:
-        logger.info("substring check skipped for N=%d > %d", len(db), cap)
+    if len(db) > SUBSTRING_CAP:
+        logger.info("substring check skipped for N=%d > %d", len(db), SUBSTRING_CAP)
         return []
     pairs = []
-    recs = db.records
-    by_len = sorted(recs, key=lambda r: r.length)
-    for a_idx, rec_a in enumerate(by_len):
-        for rec_b in by_len[a_idx + 1:]:
-            if rec_a.length < rec_b.length and rec_a.sequence in rec_b.sequence:
+    by_len = sorted(db.records, key=lambda r: r.length)
+    lengths = [rec.length for rec in by_len]
+    for rec_a in by_len:
+        for rec_b in by_len[bisect.bisect_right(lengths, rec_a.length):]:
+            if rec_a.sequence in rec_b.sequence:
                 pairs.append((rec_a.id, rec_b.id))
     return pairs
 
@@ -246,8 +251,7 @@ class ScanResult:
         }
 
 
-def critical_read_length_scan(db: SequenceDatabase, l_lo: int, l_hi: int,
-                              tol: float = SV_TOL) -> ScanResult:
+def critical_read_length_scan(db: SequenceDatabase, l_lo: int, l_hi: int) -> ScanResult:
     """Scan read lengths, reporting identifiable fractions and the smallest
     fully identifiable L.
 
@@ -266,7 +270,7 @@ def critical_read_length_scan(db: SequenceDatabase, l_lo: int, l_hi: int,
     critical = None
     for read_len in range(l_lo, l_hi + 1):
         A = build_matrix(db, read_len)
-        report = analyze(A, tol=tol)
+        report = analyze(A)
         lengths.append(read_len)
         fractions.append(float(report.partial_flags.mean()))
         fully.append(bool(report.identifiable))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .identifiability import GRAM_CAP, check_gram_cap, decompose_components
+from .identifiability import GRAM_CAP, split_components
 from .read_matrix import FrequencyVector, ReadSamplingMatrix
 
 LAMBDA_TOL = 1e-12
@@ -52,16 +52,15 @@ def mahalanobis_error_bound(n_reads: int, delta: float) -> float:
     return (2.0 + math.sqrt(math.log(1.0 / delta))) / math.sqrt(n_reads)
 
 
-def l2_error_bound(n_reads: int, delta: float, lambda_min: float,
-                   tol: float = LAMBDA_TOL) -> float:
+def l2_error_bound(n_reads: int, delta: float, lambda_min: float) -> float:
     """High-probability bound on the Euclidean error. Diverges (returns inf)
-    when the smallest Gram eigenvalue is numerically zero: the error can then
-    be arbitrarily large."""
+    when the smallest Gram eigenvalue is numerically zero, at or below
+    ``LAMBDA_TOL``: the error can then be arbitrarily large."""
     if n_reads < 1:
         raise ValueError("need at least one read")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    if lambda_min <= tol:
+    if lambda_min <= LAMBDA_TOL:
         return math.inf
     return (2.0 + math.sqrt(math.log(1.0 / delta))) / math.sqrt(n_reads * lambda_min)
 
@@ -70,23 +69,20 @@ def gram_lambda_min(A: ReadSamplingMatrix) -> float:
     """Smallest eigenvalue of A'A, taken per connected component (the global
     minimum is the minimum over components).
 
-    A'A is the matrix's cached ``A.gram``. A singleton component's
-    eigenvalue is its diagonal entry, read for all of them in one step
-    (``eigvalsh`` of a 1 x 1 matrix returns that entry exactly); each larger
-    component runs ``eigvalsh`` on its dense block of the same product.
-    Components share no rows, so every block holds the same sums, in the same
-    order, as the product of that component's columns alone. Raises
-    ValueError when the largest multi-column component exceeds ``GRAM_CAP``
-    columns.
+    A'A is the matrix's cached ``A.gram``, split into components by
+    :func:`split_components`. A singleton component's eigenvalue is its
+    diagonal entry, read for all of them in one step (``eigvalsh`` of a 1 x 1
+    matrix returns that entry exactly); each larger component runs
+    ``eigvalsh`` on its dense block of the same product. Components share no
+    rows, so every block holds the same sums, in the same order, as the
+    product of that component's columns alone. Raises ValueError when the
+    largest multi-column component exceeds ``GRAM_CAP`` columns.
     """
-    groups = decompose_components(A)
-    check_gram_cap(groups, GRAM_CAP)
+    singles, multi = split_components(A, GRAM_CAP)
     gram = A.gram
-    lams = gram.diagonal()[np.array([cols[0] for cols in groups], dtype=np.intp)]
-    for i, cols in enumerate(groups):
-        if len(cols) > 1:
-            lams[i] = scipy.linalg.eigvalsh(gram[cols][:, cols].toarray())[0]
-    return max(min(lams.tolist(), default=math.inf), 0.0)
+    lams = gram.diagonal()[singles].tolist()
+    lams += [float(scipy.linalg.eigvalsh(gram[cols][:, cols].toarray())[0]) for cols in multi]
+    return max(min(lams, default=math.inf), 0.0)
 
 
 @dataclass

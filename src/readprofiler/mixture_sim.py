@@ -83,7 +83,7 @@ class MixtureSpec:
     @classmethod
     def load(cls, path) -> "MixtureSpec":
         d = require_fields(json.loads(Path(path).read_text()), path,
-                           "support", "frequencies")
+                           support=list, frequencies=list)
         return cls(np.array(d["support"]), np.array(d["frequencies"]),
                    d.get("seed", 0), d.get("generator_tag", "manual"))
 
@@ -157,7 +157,7 @@ class ReadCounts:
         lines = Path(path).read_text().splitlines()
         if not lines or not lines[0].startswith("#"):
             raise ValueError(f"{path}: missing JSON header line")
-        header = require_fields(json.loads(lines[0][1:]), path, "read_length", "total")
+        header = require_fields(json.loads(lines[0][1:]), path, read_length=int, total=int)
         L = header["read_length"]
         numbers, kmers, counts = [], [], []
         for number, line in enumerate(lines[1:], start=2):
@@ -406,12 +406,15 @@ def simulate_reads(A: ReadSamplingMatrix, x: FrequencyVector, n_reads: int,
     never a zero-weight species' repeat of it. Reads are found in one pass
     over the concatenated column cumulatives of the drawn species, each with
     its own guide rows. A drawn species whose column is empty raises
-    ValueError.
+    ValueError, as does a dna-kind ``x`` not flagged normalized (species
+    frequencies are normalized by :func:`reweight_to_dna`).
     """
     if n_reads < 1:
         raise ValueError("need at least one read")
     if len(x) != A.n_species:
         raise ValueError("dimension mismatch between x and matrix")
+    if x.kind == "dna" and not x.normalized:
+        raise ValueError("expected a normalized frequency vector")
     x_dna = x if x.kind == "dna" else reweight_to_dna(x, A.col_lengths)
     rng = np.random.default_rng(seed)
     u = rng.random(n_reads)

@@ -164,12 +164,6 @@ def nnls_solve(A_sub, y, kkt_tol: float = DEFAULT_KKT_TOL,
 
 
 def normalize_simplex(x) -> FrequencyVector:
-    """Scale a nonnegative vector to sum to one."""
-    values = np.asarray(x, dtype=float)
-    if np.any(values < 0):
-        raise ValueError("input must be nonnegative")
-    total = values.sum()
-    if total <= 0:
-        raise ValueError("cannot normalize an all-zero vector")
-    v = values / total
-    return FrequencyVector(v / v.sum(), "species", normalized=True)
+    """Scale a nonnegative vector to sum to one, as species frequencies
+    (:meth:`FrequencyVector.normalize`)."""
+    return FrequencyVector(x, "species").normalize()

@@ -64,6 +64,8 @@ class FrequencyVector:
         return len(self.values)
 
     def normalize(self) -> "FrequencyVector":
+        """The vector scaled onto the simplex, of the same kind: the one
+        normalisation rule. Raises ValueError for an all-zero vector."""
         total = self.values.sum()
         if total <= 0:
             raise ValueError("cannot normalize an all-zero vector")
@@ -192,8 +194,8 @@ class ReadSamplingMatrix:
             payload = fh.read()
         if not isinstance(header, dict) or header.get("format") != _MATRIX_FORMAT:
             raise ValueError(f"{path}: not a read-sampling matrix file")
-        require_fields(header, path, "checksum", "tail_convention", "read_length",
-                       "n_rows", "n_species", "nnz")
+        require_fields(header, path, checksum=str, tail_convention=str, read_length=int,
+                       n_rows=int, n_species=int, nnz=int)
         if hashlib.sha256(payload).hexdigest() != header["checksum"]:
             raise ValueError(f"{path}: checksum mismatch")
         if header["tail_convention"] != TAIL_CONVENTION:
@@ -281,7 +283,8 @@ def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
 
 def reweight_to_dna(x: FrequencyVector, col_lengths) -> FrequencyVector:
     """Species frequencies -> DNA-weighted sampling frequencies,
-    x'_j = x_j n_j / sum_i x_i n_i."""
+    x'_j = x_j n_j / sum_i x_i n_i, put on the simplex by
+    :meth:`FrequencyVector.normalize`."""
     if x.kind != "species":
         raise ValueError("input must be a species frequency vector")
     lengths = np.asarray(col_lengths, dtype=float)
@@ -289,16 +292,12 @@ def reweight_to_dna(x: FrequencyVector, col_lengths) -> FrequencyVector:
         raise ValueError("sequence lengths must be positive")
     if len(lengths) != len(x):
         raise ValueError("dimension mismatch")
-    w = x.values * lengths
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("all-zero frequency vector")
-    w = w / total
-    return FrequencyVector(w / w.sum(), "dna", normalized=True)
+    return FrequencyVector(x.values * lengths, "dna").normalize()
 
 
 def unweight_from_dna(x_prime: FrequencyVector, col_lengths) -> FrequencyVector:
-    """Inverse of :func:`reweight_to_dna`: x_j proportional to x'_j / n_j."""
+    """Inverse of :func:`reweight_to_dna`: x_j proportional to x'_j / n_j,
+    put on the simplex by :meth:`FrequencyVector.normalize`."""
     if x_prime.kind != "dna":
         raise ValueError("input must be a dna-weighted frequency vector")
     lengths = np.asarray(col_lengths, dtype=float)
@@ -306,9 +305,4 @@ def unweight_from_dna(x_prime: FrequencyVector, col_lengths) -> FrequencyVector:
         raise ValueError("sequence lengths must be positive")
     if len(lengths) != len(x_prime):
         raise ValueError("dimension mismatch")
-    w = x_prime.values / lengths
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("all-zero frequency vector")
-    w = w / total
-    return FrequencyVector(w / w.sum(), "species", normalized=True)
+    return FrequencyVector(x_prime.values / lengths, "species").normalize()

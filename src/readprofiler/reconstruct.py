@@ -95,7 +95,7 @@ class ReconstructionReport:
 def load_estimate(path) -> FrequencyVector:
     """Read the species frequency vector back out of a saved report."""
     d = require_fields(json.loads(Path(path).read_text()), path,
-                       "n_species", "support", "frequencies", "empty")
+                       n_species=int, support=list, frequencies=list, empty=bool)
     x = np.zeros(d["n_species"])
     x[np.array(d["support"], dtype=int) - 1] = d["frequencies"]
     return FrequencyVector(x, "species", normalized=not d["empty"])
@@ -160,10 +160,12 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
     :meth:`ReadSamplingMatrix.gram_if_cheap` gives it, so a block costs its
     own size rather than a pass over the K rows; otherwise (species sharing
     many rows) each block forms its own columns' product, and memory stays
-    bounded by the block. Either way the Gram holds the same bits. A block whose Gram is diagonal with entries
-    above the screen's certificate shift is full rank and skips the screen's
-    factorisation (:func:`diagonal_block_full_rank`). The final solve reports
-    ||Ax - y|| from the surviving columns of A.
+    bounded by the block. Either way the Gram holds the same bits. A block
+    whose Gram is diagonal with entries above the screen's certificate shift
+    is full rank and skips the screen's factorisation
+    (:func:`diagonal_block_full_rank`). The final solve reports ||Ax - y||
+    from the surviving columns of A, and its solution goes onto the simplex
+    by :meth:`FrequencyVector.normalize`.
     """
     params = params or DncParams()
     y = np.asarray(y, dtype=float).ravel()
@@ -229,11 +231,9 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
 
     x_full = np.zeros(n)
     x_full[active] = sol.x
-    x_full /= x_full.sum()
-    x_full /= x_full.sum()
-    x_dna = FrequencyVector(x_full, "dna", normalized=True)
+    x_dna = FrequencyVector(x_full, "dna").normalize()
     x_species = unweight_from_dna(x_dna, A.col_lengths)
-    support = np.where(x_full > X_TOL)[0] + 1
+    support = np.where(x_dna.values > X_TOL)[0] + 1
     return ReconstructionReport(
         x_hat=x_species,
         x_hat_dna=x_dna,

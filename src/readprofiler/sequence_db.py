@@ -339,15 +339,20 @@ def read_bytes(path) -> bytes:
     return gzip.decompress(data) if Path(path).suffix == ".gz" else data
 
 
-def require_fields(record, path, *names: str) -> dict:
+def require_fields(record, path, **types: type) -> dict:
     """``record``, a JSON value read from ``path``, once it is checked to be
-    an object holding every named field; otherwise ValueError naming the file
-    and the first missing field."""
+    an object holding every named field with a value of its given type (an
+    ``int`` field takes no bool); otherwise ValueError naming the file and
+    the first missing or wrong-typed field."""
     if not isinstance(record, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(record).__name__}")
-    for name in names:
+    for name, kind in types.items():
         if name not in record:
             raise ValueError(f"{path}: missing field {name!r}")
+        value = record[name]
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError(f"{path}: field {name!r} must be {kind.__name__}, "
+                             f"got {type(value).__name__}")
     return record
 
 
@@ -373,9 +378,10 @@ def iter_fasta(path) -> Iterator[tuple[str, str]]:
         yield label, "".join(chunks)
 
 
-def parse_fasta(path, uppercase: bool = True, drop_ambiguous: bool = False) -> SequenceDatabase:
+def parse_fasta(path, drop_ambiguous: bool = False) -> SequenceDatabase:
     """Load a FASTA file into a validated, deduplicated database.
 
+    Sequences are upper-cased before they are checked.
     Records containing characters outside ACGT are dropped (and counted) when
     ``drop_ambiguous`` is set, otherwise they raise :class:`AmbiguousBaseError`.
     Exact duplicate sequences collapse to the first-seen record; the dropped
@@ -388,8 +394,7 @@ def parse_fasta(path, uppercase: bool = True, drop_ambiguous: bool = False) -> S
     n_parsed = 0
     for label, seq in iter_fasta(path):
         n_parsed += 1
-        if uppercase:
-            seq = seq.upper()
+        seq = seq.upper()
         if not seq:
             raise FastaError(f"{path}: empty sequence for record {label!r}")
         bad = _NON_ACGT.search(seq)

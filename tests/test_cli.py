@@ -156,6 +156,30 @@ class TestPipelineCommands:
                    "--skip-lambda", "--out", str(tmp_path / "eval.json")) == 2
         assert f"{files[which]}: missing field {field!r}" in capsys.readouterr().err
 
+    def test_reconstruct_counts_with_string_total_exits_2(self, pipeline_dir, tmp_path, capsys):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text('#{"read_length": 8, "total": "5"}\nACGTACGT\t5\n')
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(counts), "--out", str(est)) == 2
+        assert not est.exists()
+        assert f"{counts}: field 'total' must be int, got str" in capsys.readouterr().err
+
+    def test_evaluate_estimate_with_string_n_species_exits_2(self, pipeline_dir, tmp_path,
+                                                              capsys):
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(pipeline_dir / "reads.tsv"), "--out", str(est)) == 0
+        broken = json.loads(est.read_text())
+        broken["n_species"] = str(broken["n_species"])
+        est.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert run("evaluate", "--truth", str(pipeline_dir / "truth.json"),
+                   "--estimate", str(est),
+                   "--matrix", str(pipeline_dir / "matrix.bin"), "--reads-count", "20000",
+                   "--skip-lambda", "--out", str(tmp_path / "eval.json")) == 2
+        assert f"{est}: field 'n_species' must be int, got str" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fastq", [False, True])
     def test_reconstruct_gzipped_raw_reads(self, pipeline_dir, tmp_path, fastq):
         seq = parse_fasta(pipeline_dir / "db.fasta").records[0].sequence

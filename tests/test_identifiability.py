@@ -1,10 +1,15 @@
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from readprofiler import identifiability
+from readprofiler import experiments, identifiability
+from readprofiler.experiments import ExperimentConfig, run_identifiability_scan
 from readprofiler.identifiability import (
     analyze,
     critical_read_length_scan,
@@ -405,6 +410,122 @@ class TestCriticalReadLengthScan:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             critical_read_length_scan(db_of("ACGT"), 3, 2)
+
+    def test_substring_pairs_match_quadratic_loop(self):
+        def quadratic_pairs(db):
+            by_len = sorted(db.records, key=lambda r: r.length)
+            return [(a.id, b.id) for i, a in enumerate(by_len) for b in by_len[i + 1:]
+                    if a.length < b.length and a.sequence in b.sequence]
+
+        rng = np.random.default_rng(29)
+        found = 0
+        for trial in range(40):
+            alphabet = "ACGT"[:int(rng.integers(1, 5))]
+            seqs = {"".join(alphabet[d] for d in rng.integers(0, len(alphabet),
+                                                              int(rng.integers(1, 9))))
+                    for _ in range(int(rng.integers(2, 60)))}
+            db = db_of(*rng.permutation(sorted(seqs)))
+            want = quadratic_pairs(db)
+            assert find_substring_pairs(db) == want
+            found += len(want) > 0
+        assert found >= 30
+        assert find_substring_pairs(db_of("ACGT", "TGCA", "AACC")) == []
+
+
+def reference_scan_artifacts(cfg):
+    """The loop run_identifiability_scan ran before it called
+    critical_read_length_scan: both databases analysed per read length, with
+    one monotonicity check over the two fractions."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True)
+    db = cfg.load_db()
+    mean_len = int(round(np.mean(db.lengths)))
+    control = experiments.generate_random_db(len(db), mean_len, cfg.seed + 1)
+    l_lo, l_hi = cfg.l_range
+    rows = []
+    prev_db_frac = prev_ctl_frac = -1.0
+    violations = []
+    for read_len in range(l_lo, l_hi + 1):
+        rep_db = analyze(build_matrix(db, read_len))
+        rep_ctl = analyze(build_matrix(control, read_len))
+        db_frac = float(rep_db.partial_flags.mean())
+        ctl_frac = float(rep_ctl.partial_flags.mean())
+        if db_frac < prev_db_frac - 1e-12 or ctl_frac < prev_ctl_frac - 1e-12:
+            violations.append(read_len)
+        prev_db_frac, prev_ctl_frac = db_frac, ctl_frac
+        rows.append({
+            "read_length": read_len,
+            "db_fraction": f"{db_frac:.10f}",
+            "db_identifiable": int(rep_db.identifiable),
+            "control_fraction": f"{ctl_frac:.10f}",
+            "control_identifiable": int(rep_ctl.identifiable),
+        })
+    with open(out / "scan.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+    critical = next((r["read_length"] for r in rows if r["db_identifiable"]), None)
+    (out / "scan.json").write_text(json.dumps({
+        "config": cfg.to_dict(),
+        "config_hash": cfg.config_hash(),
+        "critical_length_db": critical,
+        "monotonicity_violations": violations,
+        "rows": rows,
+    }, indent=2) + "\n")
+
+
+class TestScanArtifacts:
+    # repeat-structured databases whose identifiable fraction drops with L
+    DB_DROPS = ("TA", "TAC", "TATAA", "TATAT", "TATATATAA", "TATATATAG", "TATATATATT")
+    CONTROL_DROPS = ("CAC", "CACCAC", "CACCACCACCAC", "CACCACGA", "CACCACTT", "CACCC")
+
+    @staticmethod
+    def drops(rows, key):
+        fractions = [float(row[key]) for row in rows]
+        return any(b < a for a, b in zip(fractions, fractions[1:]))
+
+    def test_matches_per_length_loop(self, tmp_path, monkeypatch):
+        def write_db(name, seqs):
+            path = tmp_path / f"{name}.fasta"
+            db_of(*seqs).save(path)
+            return str(path)
+
+        # a random control has equal-length distinct sequences, which never
+        # drop, so the third case swaps in a control that does
+        real_generate = experiments.generate_random_db
+        control_seed = 41
+
+        def generate(n, length, seed):
+            if seed == control_seed + 1:
+                return db_of(*self.CONTROL_DROPS)
+            return real_generate(n, length, seed)
+
+        cases = {
+            "substrings": dict(db_fasta=write_db("substrings", (
+                "ACGTACGT", "GTAC", "TTGCAAC", "GCA", "CCATG", "AT", "GGTTAACC"))),
+            "db_drops": dict(db_fasta=write_db("db_drops", self.DB_DROPS)),
+            "control_drops": dict(random_db={"n": 6, "length": 7, "seed": 5},
+                                  seed=control_seed),
+        }
+        monkeypatch.setattr(experiments, "generate_random_db", generate)
+        for name, fields in cases.items():
+            cfg = ExperimentConfig(**{"seed": 3, "l_range": (1, 9), **fields},
+                                   output_dir=str(tmp_path / name / "new"))
+            run_identifiability_scan(cfg)
+            cfg.output_dir = str(tmp_path / name / "ref")
+            reference_scan_artifacts(cfg)
+            for artifact in ("scan.csv", "scan.json"):
+                assert (tmp_path / name / "new" / artifact).read_bytes() == \
+                    (tmp_path / name / "ref" / artifact).read_bytes(), (name, artifact)
+            rows = json.loads((tmp_path / name / "ref" / "scan.json").read_text())["rows"]
+            premise = {
+                "substrings": bool(find_substring_pairs(cfg.load_db())),
+                "db_drops": self.drops(rows, "db_fraction")
+                and not self.drops(rows, "control_fraction"),
+                "control_drops": self.drops(rows, "control_fraction")
+                and not self.drops(rows, "db_fraction"),
+            }[name]
+            assert premise, name
 
 
 class TestAnalyzeReport:

@@ -426,9 +426,6 @@ class TestPackedKeyReadPaths:
             # zero weight in the middle of the support and at its end
             (small, FrequencyVector([0.4, 0.0, 0.2, 0.0, 0.4, 0.0], "species",
                                     normalized=True), ((5000, 5),)),
-            # cum[-2] = 0.6, so the zero-weight last species takes the draws
-            # that reach the forced cum[-1] = 1.0
-            (small, FrequencyVector([0.3, 0.0, 0.0, 0.0, 0.3, 0.0], "dna"), ((5000, 6),)),
             (large, sample_power_law_mixture(2000, 20, 1.0, seed=22).full_vector(2000),
              ((10 ** 5, 7),)),
         ]
@@ -442,10 +439,11 @@ class TestPackedKeyReadPaths:
                 for code, c in want:
                     y[code_to_row[code]] = c / rc.total
                 assert np.array_equal(empirical_frequencies(rc, A).y, y)
-        # the premise of the forced-step case: some reads come from species 5
-        last = self.mask_loop_counts(small, cases[4][1], 5000, 6)
-        assert {code for code, _ in last} & set(
-            keys_to_codes(small.index.keys[small.matrix[:, 5].indices]))
+        # an unnormalized dna vector would hand the mass past cum[-2] = 0.6
+        # to the zero-weight last species through the forced cum[-1] = 1.0
+        with pytest.raises(ValueError, match="normalized"):
+            simulate_reads(small, FrequencyVector([0.3, 0.0, 0.0, 0.0, 0.3, 0.0], "dna"),
+                           5000, 6)
 
     def test_simulate_matches_mask_loop_on_boundary_draws(self, monkeypatch):
         # draws that sit on, or one ulp beside, every species and column
