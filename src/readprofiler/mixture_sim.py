@@ -83,7 +83,7 @@ class MixtureSpec:
     @classmethod
     def load(cls, path) -> "MixtureSpec":
         d = require_fields(json.loads(Path(path).read_text()), path,
-                           support=list, frequencies=list)
+                           support=list[int], frequencies=list[float])
         return cls(np.array(d["support"]), np.array(d["frequencies"]),
                    d.get("seed", 0), d.get("generator_tag", "manual"))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,8 +22,8 @@ from .sequence_db import (
     KmerIndex,
     SequenceDatabase,
     base_digits,
-    codes_to_keys,
-    keys_to_codes,
+    decimal_to_keys,
+    keys_to_decimal,
     kmer_keys,
     require_fields,
 )
@@ -148,6 +149,10 @@ class ReadSamplingMatrix:
     def column_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=0)).ravel()
 
+    def columns_off_one(self) -> np.ndarray:
+        """The columns whose sum is off 1 by more than ``COLUMN_SUM_TOL``."""
+        return np.flatnonzero(np.abs(self.column_sums() - 1.0) > COLUMN_SUM_TOL)
+
     def expected_read_distribution(self, x: FrequencyVector) -> np.ndarray:
         """A @ x' over the stored rows; sums to 1 for normalized dna input."""
         if x.kind != "dna":
@@ -161,61 +166,110 @@ class ReadSamplingMatrix:
     # -- serialization -----------------------------------------------------
 
     def save(self, path) -> None:
-        """Canonical binary file: one JSON header line, then triplets sorted
-        by (row, col), column lengths, and the row-code table."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        rows = coo.row[order].astype(np.int64)
-        cols = coo.col[order].astype(np.int64)
-        vals = coo.data[order].astype(np.float64)
-        codes_blob = "\n".join(map(str, keys_to_codes(self.index.keys))).encode()
-        payload = (
-            rows.tobytes() + cols.tobytes() + vals.tobytes()
-            + self.col_lengths.astype(np.int64).tobytes() + codes_blob
-        )
+        """Write the canonical binary file: one line of JSON header, then the
+        payload.
+
+        The header holds ``format`` (``readprofiler-matrix-v1``),
+        ``read_length``, ``n_rows`` (K), ``n_species`` (N), ``nnz``,
+        ``tail_convention``, ``codes_bytes`` and ``checksum``, the sha256 of
+        the payload, with sorted keys. The payload, numbers little-endian:
+
+        - int64 rows, int64 cols, then float64 values of the nnz stored
+          entries, in (row, col) order;
+        - N int64 column lengths (the sequence lengths);
+        - ``codes_bytes`` bytes of row codes: the :func:`lex_encode` code of
+          each row's k-mer in decimal without leading zeros, joined by
+          ``"\\n"``.
+        """
+        csr = self.matrix.tocsr()
+        csr.sort_indices()
+        rows = np.repeat(np.arange(self.n_rows, dtype="<i8"), np.diff(csr.indptr))
+        parts = [rows, csr.indices.astype("<i8"), csr.data.astype("<f8", copy=False),
+                 self.col_lengths.astype("<i8", copy=False),
+                 *keys_to_decimal(self.index.keys, self.read_length)]
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
         header = {
             "format": _MATRIX_FORMAT,
             "read_length": self.read_length,
             "n_rows": self.n_rows,
             "n_species": self.n_species,
-            "nnz": int(len(vals)),
+            "nnz": int(csr.nnz),
             "tail_convention": TAIL_CONVENTION,
-            "codes_bytes": len(codes_blob),
-            "checksum": hashlib.sha256(payload).hexdigest(),
+            "codes_bytes": sum(len(p) for p in parts[4:]),
+            "checksum": digest.hexdigest(),
         }
         with open(path, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            fh.write(payload)
+            fh.writelines(parts)
 
     @classmethod
     def load(cls, path) -> "ReadSamplingMatrix":
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode())
-            payload = fh.read()
+        """Read a file written by :meth:`save`. Raises ValueError, naming the
+        file, unless it holds what :func:`build_matrix` guarantees: distinct
+        row codes in [1, 4^L], entries in strictly increasing (row, col)
+        order with finite positive values, and columns that sum to 1 within
+        ``COLUMN_SUM_TOL``."""
+        data = Path(path).read_bytes()
+        line_end = data.find(b"\n")
+        try:
+            header = json.loads(data[:line_end]) if line_end >= 0 else None
+        except ValueError:
+            header = None
         if not isinstance(header, dict) or header.get("format") != _MATRIX_FORMAT:
             raise ValueError(f"{path}: not a read-sampling matrix file")
         require_fields(header, path, checksum=str, tail_convention=str, read_length=int,
-                       n_rows=int, n_species=int, nnz=int)
+                       n_rows=int, n_species=int, nnz=int, codes_bytes=int)
+        payload = memoryview(data)[line_end + 1:]
         if hashlib.sha256(payload).hexdigest() != header["checksum"]:
             raise ValueError(f"{path}: checksum mismatch")
         if header["tail_convention"] != TAIL_CONVENTION:
             raise ValueError(f"{path}: tail convention {header['tail_convention']!r} "
                              f"is not {TAIL_CONVENTION!r}")
-        read_length = header["read_length"]
-        nnz = header["nnz"]
-        n = header["n_species"]
-        off = 0
-        rows = np.frombuffer(payload, dtype=np.int64, count=nnz, offset=off); off += 8 * nnz
-        cols = np.frombuffer(payload, dtype=np.int64, count=nnz, offset=off); off += 8 * nnz
-        vals = np.frombuffer(payload, dtype=np.float64, count=nnz, offset=off); off += 8 * nnz
-        col_lengths = np.frombuffer(payload, dtype=np.int64, count=n, offset=off); off += 8 * n
-        codes_blob = payload[off:]
-        row_codes = list(map(int, codes_blob.decode().split("\n"))) if codes_blob else []
-        matrix = sp.csc_matrix(
-            (vals, (rows, cols)), shape=(header["n_rows"], n)
-        )
-        return cls(read_length, matrix, KmerIndex(codes_to_keys(row_codes, read_length)),
-                   col_lengths)
+        try:
+            return cls._from_payload(header, payload)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+    @classmethod
+    def _from_payload(cls, header: dict, payload: memoryview) -> "ReadSamplingMatrix":
+        read_length, n_rows, n, nnz = (header[k] for k in ("read_length", "n_rows",
+                                                          "n_species", "nnz"))
+        if not 1 <= read_length <= MAX_CODE_LENGTH:
+            raise ValueError(f"read length {read_length} outside [1, {MAX_CODE_LENGTH}]")
+        if min(n_rows, n, nnz) < 1:
+            raise ValueError("n_rows, n_species and nnz must be positive")
+        numbers = 8 * (3 * nnz + n)
+        if len(payload) - numbers != header["codes_bytes"]:
+            raise ValueError(f"{len(payload) - numbers} bytes of row codes, "
+                             f"header says {header['codes_bytes']}")
+        rows = np.frombuffer(payload, dtype="<i8", count=nnz)
+        cols = np.frombuffer(payload, dtype="<i8", count=nnz, offset=8 * nnz)
+        vals = np.frombuffer(payload, dtype="<f8", count=nnz, offset=16 * nnz)
+        col_lengths = np.frombuffer(payload, dtype="<i8", count=n, offset=24 * nnz)
+        keys = decimal_to_keys(payload[numbers:], read_length)
+        if len(keys) != n_rows:
+            raise ValueError(f"{len(keys)} row codes for {n_rows} rows")
+        index = KmerIndex(keys)
+        if index.has_repeats():
+            raise ValueError("a row code repeats")
+        row_step = np.diff(rows)
+        if (rows[0] < 0 or rows[-1] >= n_rows or cols.min() < 0 or cols.max() >= n
+                or not ((row_step > 0) | (row_step == 0) & (np.diff(cols) > 0)).all()):
+            raise ValueError("entries are not in strictly increasing (row, col) order "
+                             "inside the matrix")
+        if not (np.isfinite(vals).all() and (vals > 0).all()):
+            raise ValueError("a stored value is not finite and positive")
+        if (col_lengths < 1).any():
+            raise ValueError("a column length is not positive")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+        out = cls(read_length, sp.csr_matrix((vals, cols, indptr), shape=(n_rows, n)),
+                  index, col_lengths)
+        bad = out.columns_off_one()
+        if len(bad):
+            raise ValueError(f"column sums off by more than {COLUMN_SUM_TOL}: {bad}")
+        return out
 
 
 def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
@@ -275,9 +329,9 @@ def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_species))])
     matrix = sp.csc_matrix((count / n_reads[cols], rows, indptr), shape=(n_rows, n_species))
     out = ReadSamplingMatrix(read_length, matrix, index, lengths)
-    bad = np.abs(out.column_sums() - 1.0) > COLUMN_SUM_TOL
-    if np.any(bad):
-        raise AssertionError(f"column sums off by more than {COLUMN_SUM_TOL}: {np.where(bad)[0]}")
+    bad = out.columns_off_one()
+    if len(bad):
+        raise AssertionError(f"column sums off by more than {COLUMN_SUM_TOL}: {bad}")
     return out
 
 

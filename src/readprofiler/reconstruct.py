@@ -95,9 +95,15 @@ class ReconstructionReport:
 def load_estimate(path) -> FrequencyVector:
     """Read the species frequency vector back out of a saved report."""
     d = require_fields(json.loads(Path(path).read_text()), path,
-                       n_species=int, support=list, frequencies=list, empty=bool)
+                       n_species=int, support=list[int], frequencies=list[float],
+                       empty=bool)
+    support = np.array(d["support"], dtype=np.int64)
+    if len(support) != len(d["frequencies"]):
+        raise ValueError(f"{path}: support and frequencies differ in length")
+    if len(support) and not 1 <= support.min() <= support.max() <= d["n_species"]:
+        raise ValueError(f"{path}: support ids outside 1..{d['n_species']}")
     x = np.zeros(d["n_species"])
-    x[np.array(d["support"], dtype=int) - 1] = d["frequencies"]
+    x[support - 1] = d["frequencies"]
     return FrequencyVector(x, "species", normalized=not d["empty"])
 
 

@@ -3,6 +3,7 @@ packed k-mer keys, and the input-file helpers the loaders share."""
 
 from __future__ import annotations
 
+import functools
 import gzip
 import hashlib
 import json
@@ -10,9 +11,11 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from types import GenericAlias
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 logger = logging.getLogger(__name__)
 
@@ -24,6 +27,25 @@ _BYTE_DIGITS = bytes(ALPHABET.find(chr(b)) % 256 for b in range(256))
 _FP_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)    # odd: 2^64 over the golden ratio
 _FP_SHIFT = np.uint64(29)
 _QUAD_TO_BYTE = np.uint32(1 << 30 | 1 << 20 | 1 << 10 | 1)
+_E8 = 10 ** 8
+#: rows per chunk of the decimal code conversions, which keep their work
+#: arrays to a few MB whatever the number of rows
+_DECIMAL_CHUNK = 1 << 13
+_ASCII_ZEROS = np.uint64(0x3030303030303030)       # '00000000'
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_SIXES = np.uint64(0x0606060606060606)
+#: (scale, shift, mask) of the steps that merge the digits of a
+#: little-endian eight-byte cell into pairs, quadruples and one number:
+#: x * scale + (x >> shift), masked to the merged fields
+_SWAR_STEPS = [(np.uint64(10), np.uint64(8), np.uint64(0x00FF00FF00FF00FF)),
+               (np.uint64(100), np.uint64(16), np.uint64(0x0000FFFF0000FFFF)),
+               (np.uint64(10_000), np.uint64(32), np.uint64(0x00000000FFFFFFFF))]
+#: the four ASCII digits of v, 0 <= v < 10^4, as a little-endian word at
+#: entry v, and at entry 10^4 + v with NUL for the leading zeros
+_DIGITS4 = np.frombuffer(b"".join(f"{v:04d}".encode() for v in range(10_000))
+                         + b"".join(f"{v or '':>4}".replace(" ", "\0").encode()
+                                    for v in range(10_000)),
+                         dtype="<u4").astype(np.uint64)
 
 #: Largest supported k-mer length. Codes are arbitrary-precision integers and
 #: keys hold as many words as a length needs, so there is no overflow; the cap
@@ -112,8 +134,7 @@ def kmer_keys(digits: np.ndarray, length: int, starts) -> np.ndarray:
     # whole words, then pack each four bases into one byte and read eight
     # bytes as a big-endian word
     bases = np.zeros((len(starts), 32 * n_words), dtype=np.uint8)
-    bases[:, 32 * n_words - length:] = np.lib.stride_tricks.sliding_window_view(
-        digits, length)[starts]
+    bases[:, 32 * n_words - length:] = sliding_window_view(digits, length)[starts]
     # bases b0..b3 sit at bits 0, 8, 16, 24 of a little-endian quad; the
     # product (mod 2^32) moves them to bits 30, 28, 26, 24, and its other
     # terms fill disjoint bits below 24, so no carry reaches bits 24-31
@@ -138,6 +159,147 @@ def codes_to_keys(codes: Iterable[int], length: int) -> np.ndarray:
     n_words = key_words(length)
     raw = b"".join((c - 1).to_bytes(8 * n_words, "big") for c in codes)
     return np.frombuffer(raw, dtype=">u8").astype(np.uint64).reshape(-1, n_words)
+
+
+@functools.lru_cache(maxsize=None)
+def _decimal_tables(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radix-change tables between the 16-bit limbs of length-``length``
+    keys and the D base-10^8 limbs of their codes, D = ceil(digits(4^L) / 8).
+
+    Column c of a key's little-endian uint16 view holds 16-bit limb
+    ``slots[c]`` of the key, limb 0 least significant. ``to_dec[j, c]``
+    is base-10^8 limb j, most significant first, of 2^(16 slots[c]), and
+    ``to_bin[i, j]`` is 16-bit limb i of 10^(8 (D - 1 - j)), over as many
+    limbs as 10^(8 D) - 1 takes and at least the key's 4W. A product of a
+    limb vector with either table sums at most 64 terms below 2^16 * 10^8
+    (W <= 16 words, D <= 39 limbs at MAX_CODE_LENGTH), so every partial sum
+    stays below 2^53 and the float64 product is the exact integer.
+    """
+    n_words = key_words(length)
+    n_dec = -(-len(str(4 ** length)) // 8)
+    n_bin = max(-(-(_E8 ** n_dec - 1).bit_length() // 16), 4 * n_words)
+    slots = [4 * (n_words - 1 - c // 4) + c % 4 for c in range(4 * n_words)]
+    to_dec = [[(1 << 16 * i) // _E8 ** j % _E8 for i in slots] for j in reversed(range(n_dec))]
+    to_bin = [[_E8 ** j >> 16 * i & 0xFFFF for j in reversed(range(n_dec))]
+              for i in range(n_bin)]
+    return (np.array(to_dec, dtype=np.float64), np.array(to_bin, dtype=np.float64),
+            np.array(slots))
+
+
+def keys_to_decimal(keys: np.ndarray, length: int) -> list[bytes]:
+    """The :func:`lex_encode` codes of packed length-``length`` keys as ASCII
+    decimals without leading zeros, "\\n"-separated, in one bytes object per
+    chunk of rows: joined, they are ``"\\n".join(map(str, keys_to_codes(keys)))``.
+
+    Works on fixed-size row chunks in numpy, without Python integers.
+    """
+    to_dec, _, _ = _decimal_tables(length)
+    n_dec = len(to_dec)
+    keys = np.ascontiguousarray(keys, dtype="<u8")
+    parts = []
+    for lo in range(0, len(keys), _DECIMAL_CHUNK):
+        chunk = keys[lo:lo + _DECIMAL_CHUNK]
+        # base-10^8 limbs, most significant first, not yet below 10^8; then
+        # the +1 of the code and the carries
+        dec = (to_dec @ chunk.view("<u2").T.astype(np.float64)).astype(np.int64)
+        dec[-1] += 1
+        for j in range(n_dec - 1, 0, -1):
+            carry = dec[j] // _E8
+            dec[j] -= carry * _E8
+            dec[j - 1] += carry
+        # eight ASCII digits per limb from two 4-digit table entries; a limb
+        # up to a row's first nonzero one reads its high four digits from
+        # the NUL-padded half of the table, and its low four too when the
+        # high ones are zero, so the row's leading zeros come out as NUL
+        lead = np.empty(dec.shape, dtype=bool)
+        lead[0] = True
+        for j in range(1, n_dec):
+            np.logical_and(lead[j - 1], dec[j - 1] == 0, out=lead[j])
+        hi = dec // 10_000
+        lo4 = dec - hi * 10_000
+        np.add(hi, 10_000, out=hi, where=lead)
+        np.add(lo4, 10_000, out=lo4, where=hi == 10_000)
+        # a row: one cell for its "\n" (NUL in the first row), then its limbs
+        cells = np.empty((len(chunk), n_dec + 1), dtype="<u8")
+        cells[:, 0] = ord("\n")
+        cells[:, 1:] = (_DIGITS4[hi] | _DIGITS4[lo4] << np.uint64(32)).T
+        if lo == 0:
+            cells[0, 0] = 0
+        parts.append(cells.tobytes().translate(None, b"\0"))
+    return parts
+
+
+def decimal_to_keys(blob, length: int) -> np.ndarray:
+    """Inverse of :func:`keys_to_decimal`: the packed keys of the
+    "\\n"-separated decimal codes of length-``length`` k-mers in ``blob``, a
+    bytes-like object. Works on fixed-size row chunks in numpy, without
+    Python integers.
+
+    Raises ValueError, naming the first offending row, for an empty line, a
+    byte other than a decimal digit, a leading zero or a code outside
+    [1, 4^length].
+    """
+    if not 1 <= length <= MAX_CODE_LENGTH:
+        raise ValueError(f"length must be in [1, {MAX_CODE_LENGTH}], got {length}")
+    n_words = key_words(length)
+    _, to_bin, slots = _decimal_tables(length)
+    n_dec = to_bin.shape[1]
+    width = 8 * n_dec
+    text = np.frombuffer(blob, dtype=np.uint8)
+    if not len(text):
+        return np.zeros((0, n_words), dtype=np.uint64)
+    ends = np.flatnonzero(text == ord("\n"))
+    starts = np.concatenate([[0], ends + 1])
+    ends = np.append(ends, len(text))
+    sizes = ends - starts
+
+    def refuse(bad, what, first=0):
+        if bad.any():           # bad: one flag per row, or one row of flags per row
+            row = np.argmax(bad.reshape(len(bad), -1).any(axis=1))
+            raise ValueError(f"row code {first + int(row)} {what}")
+
+    outside = f"lies outside [1, 4^{length}]"
+    refuse(sizes == 0, "is empty")
+    refuse(text[starts] == ord("0"), "has a leading zero")
+    refuse(sizes > len(str(4 ** length)), outside)
+    top, top_bits = divmod(2 * length, 16)        # the 16-bit limb holding bit 2L
+    pad = np.zeros(width, dtype=np.uint8)
+    keys = np.empty((len(starts), n_words), dtype=np.uint64)
+    for lo in range(0, len(starts), _DECIMAL_CHUNK):
+        s, e = starts[lo:lo + _DECIMAL_CHUNK], ends[lo:lo + _DECIMAL_CHUNK]
+        # each code right-aligned in D cells of eight bytes; the bytes before
+        # its line start, from earlier lines or the padding, are forced to '0'
+        seg = np.concatenate([pad, text[s[0]:e[-1]]])
+        cells = sliding_window_view(seg, width)[e - s[0]].view("<u8")
+        before = width - (e - s)
+        full = before >> 3
+        for j in range(full.max()):
+            cells[full > j, j] = _ASCII_ZEROS
+        rows = np.arange(len(s))
+        low = (np.uint64(1) << (8 * (before & 7)).astype(np.uint64)) - np.uint64(1)
+        cells[rows, full] = cells[rows, full] & ~low | _ASCII_ZEROS & low
+        # every byte in '0'..'9': its high nibble and that of the byte plus 6
+        # are both 3 (no carry into a byte leaves both at 3)
+        refuse((cells & (cells + _SIXES) & _HIGH_NIBBLES) != _ASCII_ZEROS,
+               "holds a byte that is not a decimal digit", lo)
+        # eight digits to one base-10^8 limb in three multiply-shift steps
+        # (Lemire, "Number parsing at a gigabyte per second", 2021)
+        cells -= _ASCII_ZEROS
+        for scale, shift, mask in _SWAR_STEPS:
+            high = cells >> shift
+            cells *= scale
+            cells += high
+            cells &= mask
+        # 16-bit limbs, least significant first, not yet below 2^16; then
+        # the -1 of the code and the carries (arithmetic shifts borrow too)
+        limbs = (to_bin @ cells.T.astype(np.float64)).astype(np.int64)
+        limbs[0] -= 1
+        for i in range(len(limbs) - 1):
+            limbs[i + 1] += limbs[i] >> 16
+            limbs[i] &= 0xFFFF
+        refuse((limbs[top + 1:] != 0).any(axis=0) | (limbs[top] >> top_bits != 0), outside, lo)
+        keys[lo:lo + len(s)] = np.ascontiguousarray(limbs[slots].T, dtype="<u2").view("<u8")
+    return keys
 
 
 def _fingerprint(keys: np.ndarray) -> np.ndarray:
@@ -199,6 +361,15 @@ class KmerIndex:
         index = cls.__new__(cls)
         index._adopt(distinct, sorted_fp[starts], group_row)
         return index, rows
+
+    def has_repeats(self) -> bool:
+        """Whether two rows hold the same key; :meth:`first_seen` never
+        builds such an index, but a key table read from a file may."""
+        tie = np.flatnonzero(self._fp[1:] == self._fp[:-1])
+        if not len(tie):
+            return False
+        rows = self._rows[np.union1d(tie, tie + 1)]
+        return len(np.unique(self.keys[rows], axis=0)) < len(rows)
 
     def rows_of(self, keys: np.ndarray) -> np.ndarray:
         """Row of each key, or -1 where the index does not hold it."""
@@ -339,21 +510,35 @@ def read_bytes(path) -> bytes:
     return gzip.decompress(data) if Path(path).suffix == ".gz" else data
 
 
-def require_fields(record, path, **types: type) -> dict:
+def require_fields(record, path, **types) -> dict:
     """``record``, a JSON value read from ``path``, once it is checked to be
-    an object holding every named field with a value of its given type (an
-    ``int`` field takes no bool); otherwise ValueError naming the file and
-    the first missing or wrong-typed field."""
+    an object holding every named field with a value of its given type;
+    otherwise ValueError naming the file and the first missing or wrong-typed
+    field. A type ``list[t]`` asks for a list of ``t`` values. An ``int``
+    takes no bool, and a ``float`` takes an int but no bool."""
     if not isinstance(record, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(record).__name__}")
     for name, kind in types.items():
         if name not in record:
             raise ValueError(f"{path}: missing field {name!r}")
         value = record[name]
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        item = None
+        if isinstance(kind, GenericAlias):
+            kind, (item,) = kind.__origin__, kind.__args__
+        if not _is_a(value, kind):
             raise ValueError(f"{path}: field {name!r} must be {kind.__name__}, "
                              f"got {type(value).__name__}")
+        for v in value if item else ():
+            if not _is_a(v, item):
+                raise ValueError(f"{path}: field {name!r} must hold {item.__name__} "
+                                 f"values, got {type(v).__name__}")
     return record
+
+
+def _is_a(value, kind: type) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def iter_fasta(path) -> Iterator[tuple[str, str]]:

@@ -180,6 +180,54 @@ class TestPipelineCommands:
                    "--skip-lambda", "--out", str(tmp_path / "eval.json")) == 2
         assert f"{est}: field 'n_species' must be int, got str" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    @pytest.mark.parametrize("field,value,kind", [
+        ("support", [1.5, 2], "int"),
+        ("support", [True, 2], "int"),
+        ("frequencies", ["0.5", "0.5"], "float"),
+        ("frequencies", [0.5, None], "float"),
+    ], ids=["float_id", "bool_id", "string_frequency", "null_frequency"])
+    def test_truth_with_wrong_element_type_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                                   command, field, value, kind):
+        truth = tmp_path / "truth.json"
+        spec = json.loads((pipeline_dir / "truth.json").read_text())
+        truth.write_text(json.dumps(spec | {"support": [1, 2], "frequencies": [0.5, 0.5],
+                                            field: value}))
+        matrix = str(pipeline_dir / "matrix.bin")
+        est, out = tmp_path / "est.json", tmp_path / "out"
+        if command == "simulate":
+            argv = ["simulate", "--matrix", matrix, "--reads", "100", "--truth", str(truth)]
+        else:
+            assert run("reconstruct", "--matrix", matrix, "--reads",
+                       str(pipeline_dir / "reads.tsv"), "--out", str(est)) == 0
+            argv = ["evaluate", "--truth", str(truth), "--estimate", str(est), "--matrix",
+                    matrix, "--reads-count", "20000", "--skip-lambda"]
+        capsys.readouterr()
+        assert run(*argv, "--out", str(out)) == 2
+        assert not out.exists()
+        assert f"{truth}: field {field!r} must hold {kind} values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,why", [
+        ("support", [0], "support ids outside 1..30"),
+        ("support", [31], "support ids outside 1..30"),
+        ("support", [1.5], "field 'support' must hold int values"),
+        ("frequencies", ["1.0"], "field 'frequencies' must hold float values"),
+        ("frequencies", [0.5, 0.5], "support and frequencies differ in length"),
+    ], ids=["id_0", "id_past_n", "float_id", "string_frequency", "length"])
+    def test_evaluate_estimate_with_bad_support_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                                        field, value, why):
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(pipeline_dir / "reads.tsv"), "--out", str(est)) == 0
+        broken = json.loads(est.read_text()) | {"support": [1], "frequencies": [1.0]}
+        est.write_text(json.dumps(broken | {field: value}))
+        capsys.readouterr()
+        assert run("evaluate", "--truth", str(pipeline_dir / "truth.json"),
+                   "--estimate", str(est),
+                   "--matrix", str(pipeline_dir / "matrix.bin"), "--reads-count", "20000",
+                   "--skip-lambda", "--out", str(tmp_path / "eval.json")) == 2
+        assert f"{est}: {why}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fastq", [False, True])
     def test_reconstruct_gzipped_raw_reads(self, pipeline_dir, tmp_path, fastq):
         seq = parse_fasta(pipeline_dir / "db.fasta").records[0].sequence

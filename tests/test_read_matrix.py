@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import pickle
+import re
 import sys
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from readprofiler import sequence_db
+from readprofiler.cli import main
 from readprofiler.experiments import generate_random_db
 from readprofiler.metrics import gram_lambda_min
 from readprofiler.mixture_sim import empirical_frequencies, sample_power_law_mixture, \
@@ -135,6 +137,13 @@ def A_db(seqs):
     return db_of(*seqs)
 
 
+def entry_twice(rows, cols):
+    """``cols`` with the second entry of the first row that holds two moved
+    onto the column of the first."""
+    i = int(np.flatnonzero(rows[1:] == rows[:-1])[0])
+    return np.concatenate([cols[:i + 1], cols[i:i + 1], cols[i + 2:]])
+
+
 class TestSerialization:
     def test_save_load_roundtrip(self, tmp_path):
         A = build_matrix(db_of("ACGTACGTAC", "GG", "TTTAGC"), 4)
@@ -171,6 +180,64 @@ class TestSerialization:
         np.testing.assert_array_equal(B.index.rows_of(A.index.keys), np.arange(A.n_rows))
         B.save(tmp_path / "reloaded")
         assert (tmp_path / "reloaded").read_bytes() == built.read_bytes()
+
+    # (field, index, new value from the fields, what load must say)
+    BROKEN_FILES = {
+        "repeat": ("codes", 1, lambda f: f["codes"][0], "a row code repeats"),
+        "plus": ("codes", 0, lambda f: b"+" + f["codes"][0], "not a decimal digit"),
+        "space": ("codes", 0, lambda f: b" " + f["codes"][0], "not a decimal digit"),
+        "underscore": ("codes", 0, lambda f: f["codes"][0] + b"_", "not a decimal digit"),
+        "leading_zero": ("codes", 0, lambda f: b"0" + f["codes"][0], "leading zero"),
+        "empty_line": ("codes", 1, lambda f: b"", "is empty"),
+        "past_4_pow_L": ("codes", 1, lambda f: b"65", r"outside \[1, 4\^3\]"),
+        "count": ("codes", slice(-1, None), lambda f: [], "row codes for"),
+        "codes_bytes": ("header", "codes_bytes", lambda f: len(b"\n".join(f["codes"])) + 1,
+                        "bytes of row codes"),
+        "nan": ("vals", 0, lambda f: np.nan, "not finite and positive"),
+        "inf": ("vals", 0, lambda f: np.inf, "not finite and positive"),
+        "zero": ("vals", 0, lambda f: 0.0, "not finite and positive"),
+        "negative": ("vals", 0, lambda f: -f["vals"][0], "not finite and positive"),
+        "column_sum": ("vals", 0, lambda f: f["vals"][0] * (1 + 1e-9),
+                       r"column sums off by more than 1e-12: \[0\]"),
+        "order": ("rows", slice(1, 3), lambda f: f["rows"][2:0:-1], "increasing"),
+        "same_entry": ("cols", slice(None), lambda f: entry_twice(f["rows"], f["cols"]),
+                       "increasing"),
+        "col_range": ("cols", -1, lambda f: f["header"]["n_species"], "increasing"),
+        "col_length": ("lengths", 0, lambda f: 0, "column length"),
+    }
+
+    @pytest.mark.parametrize("case", BROKEN_FILES)
+    def test_load_rejects_what_build_never_writes(self, tmp_path, capsys, case):
+        # each file keeps a valid checksum and header fields
+        field, index, value, why = self.BROKEN_FILES[case]
+        A = build_matrix(db_of("ACGTACGTAC", "GGCATTGA", "TTTACG"), 3)
+        A.save(tmp_path / "A.rsm")
+        line, payload = (tmp_path / "A.rsm").read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        del header["codes_bytes"]
+        nnz, n = header["nnz"], header["n_species"]
+        numbers = np.frombuffer(payload, dtype="<i8", count=3 * nnz + n).copy()
+        fields = {"header": header, "rows": numbers[:nnz], "cols": numbers[nnz:2 * nnz],
+                  "vals": numbers[2 * nnz:3 * nnz].view("<f8"), "lengths": numbers[3 * nnz:],
+                  "codes": payload[8 * len(numbers):].split(b"\n")}
+        fields[field][index] = value(fields)
+        codes = b"\n".join(fields["codes"])
+        header.setdefault("codes_bytes", len(codes))
+        edited = numbers.tobytes() + codes
+        assert edited != payload or case == "codes_bytes"
+        header["checksum"] = hashlib.sha256(edited).hexdigest()
+        broken = tmp_path / "broken.rsm"
+        broken.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + edited)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(broken))}: .*{why}"):
+            ReadSamplingMatrix.load(broken)
+        reads = tmp_path / "reads.txt"
+        reads.write_text("ACG\nGGC\n")
+        est = tmp_path / "est.json"
+        capsys.readouterr()
+        assert main(["reconstruct", "--matrix", str(broken), "--reads", str(reads),
+                     "--raw-reads", "--out", str(est)]) == 2
+        assert str(broken) in capsys.readouterr().err
+        assert not est.exists()
 
     def test_corruption_detected(self, tmp_path):
         A = build_matrix(db_of("ACGTACGT"), 3)
@@ -322,7 +389,8 @@ class TestPackedKeyOracle:
 
         for module in list(sys.modules.values()):
             if (module.__name__ or "").startswith("readprofiler"):
-                for name in ("keys_to_codes", "codes_to_keys"):
+                for name in ("keys_to_codes", "codes_to_keys", "keys_to_decimal",
+                             "decimal_to_keys"):
                     if hasattr(module, name):
                         monkeypatch.setattr(module, name, refuse)
         db = generate_random_db(300, 200, seed=12)

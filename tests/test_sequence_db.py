@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from readprofiler import sequence_db
 from readprofiler.experiments import generate_random_db
 from readprofiler.sequence_db import (
     MAX_CODE_LENGTH,
@@ -12,7 +14,10 @@ from readprofiler.sequence_db import (
     SequenceDatabase,
     base_digits,
     codes_to_keys,
+    decimal_to_keys,
+    key_words,
     keys_to_codes,
+    keys_to_decimal,
     kmer_keys,
     lex_decode,
     lex_encode,
@@ -113,6 +118,85 @@ class TestLexCodes:
     def test_base_digits(self):
         np.testing.assert_array_equal(base_digits("ACGTNa-é"),
                                       [0, 1, 2, 3, 255, 255, 255, 255])
+
+
+DECIMAL_LENGTHS = [*range(1, 71), 95, 96, 97, 127, 128, 129, 150, 255, 256, 511, 512]
+
+
+def edge_codes(L):
+    """Codes at the edges the decimal conversions must carry across: 1 and
+    4^L, 10^k - 1, 10^k and 10^k + 1, and keys 2^(16 m) - 1 (every 16-bit
+    limb all ones) and 2^(16 m)."""
+    top = 4 ** L
+    codes = {1, top}
+    for k in range(1, len(str(top)) + 1):
+        codes.update((10 ** k - 1, 10 ** k, 10 ** k + 1))
+    for m in range(1, 2 * L // 16 + 2):
+        codes.update((2 ** (16 * m), 2 ** (16 * m) + 1))
+    return sorted(c for c in codes if 1 <= c <= top)
+
+
+def decimal_reference(keys):
+    return "\n".join(map(str, keys_to_codes(keys))).encode()
+
+
+class TestDecimalCodes:
+    """keys_to_decimal and decimal_to_keys against the Python-int reference,
+    keys_to_codes and codes_to_keys."""
+
+    @pytest.mark.parametrize("L", DECIMAL_LENGTHS)
+    def test_matches_python_int_reference(self, L):
+        draw = random.Random(L)
+        codes = edge_codes(L) + [draw.randint(1, 4 ** L) for _ in range(40)]
+        # all-ones words: a key of ones below each word edge, and every word
+        # all ones (the largest key again, reached word by word)
+        codes += [min(4 ** L, 2 ** (64 * w)) for w in range(1, key_words(L) + 1)]
+        keys = codes_to_keys(codes, L)
+        blob = b"".join(keys_to_decimal(keys, L))
+        assert blob == decimal_reference(keys)
+        np.testing.assert_array_equal(decimal_to_keys(blob, L), keys)
+        np.testing.assert_array_equal(decimal_to_keys(memoryview(blob), L), keys)
+
+    def test_more_rows_than_one_chunk(self):
+        rng = np.random.default_rng(9)
+        for L in (20, 150):
+            digits = rng.integers(0, 4, 3 * sequence_db._DECIMAL_CHUNK + L + 5).astype(np.uint8)
+            keys = kmer_keys(digits, L, np.arange(len(digits) - L + 1))
+            parts = keys_to_decimal(keys, L)
+            assert len(parts) == 4
+            blob = b"".join(parts)
+            assert blob == decimal_reference(keys)
+            np.testing.assert_array_equal(decimal_to_keys(blob, L), keys)
+
+    def test_empty(self):
+        assert keys_to_decimal(np.zeros((0, 2), dtype=np.uint64), 40) == []
+        assert decimal_to_keys(b"", 40).shape == (0, 2)
+
+    @pytest.mark.parametrize("blob,row,why", [
+        (b"5\n\n7", 1, "is empty"),
+        (b"5\n7\n", 2, "is empty"),
+        (b"5\n+7", 1, "not a decimal digit"),
+        (b"5\n 7", 1, "not a decimal digit"),
+        (b"5\n7 ", 1, "not a decimal digit"),
+        (b"5\n1_", 1, "not a decimal digit"),
+        (b"5\n7\r", 1, "not a decimal digit"),
+        (b"5\n07", 1, "leading zero"),
+        (b"5\n0", 1, "leading zero"),
+        (b"5\n65", 1, r"outside \[1, 4\^3\]"),
+        (b"5\n1000", 1, r"outside \[1, 4\^3\]"),
+    ])
+    def test_rejects_malformed_codes(self, blob, row, why):
+        with pytest.raises(ValueError, match=f"row code {row} .*{why}"):
+            decimal_to_keys(blob, 3)
+
+    @pytest.mark.parametrize("L", [31, 32, 33, 150, 512])
+    def test_rejects_codes_just_past_4_pow_l(self, L):
+        rows = [b"1"] * (sequence_db._DECIMAL_CHUNK + 3)
+        np.testing.assert_array_equal(decimal_to_keys(b"\n".join(rows), L),
+                                      np.zeros((len(rows), key_words(L)), dtype=np.uint64))
+        rows[-1] = str(4 ** L + 1).encode()
+        with pytest.raises(ValueError, match=f"row code {len(rows) - 1} lies outside"):
+            decimal_to_keys(b"\n".join(rows), L)
 
 
 class TestParseFasta:
