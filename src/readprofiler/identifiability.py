@@ -5,14 +5,15 @@ matrix A has full column rank; a single species is pinned down exactly when
 its basis vector is orthogonal to the null space of A. (Every column of A
 sums to one, so the constraint that frequencies sum to one adds no equation
 that A does not give already.) Both checks read A's rank and null space from
-its Gram A'A with one kernel, :func:`null_space_flags_from_gram`, run per
-connected component of the row/column sparsity graph.
+its Gram A'A with one kernel, :func:`null_space_flags_from_gram`, run by
+:func:`component_flags` per connected component of the sparsity graph.
 """
 
 from __future__ import annotations
 
 import bisect
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,49 +59,65 @@ def decompose_components(A: ReadSamplingMatrix) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
-def split_components(A: ReadSamplingMatrix, cap: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A's components (:func:`decompose_components`) as the columns of every
-    singleton component, ascending, and the multi-column groups in order.
+def split_components(gram: sp.spmatrix) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The connected components of a sparse Gram's graph (columns that share
+    a row of A are joined): the singleton columns, and the multi-column groups
+    (labels sorted only if one exists), each ascending. Raises ValueError past
+    ``GRAM_CAP`` columns, the most a dense component Gram may hold."""
+    _, labels = connected_components(gram, directed=False)
+    counts = np.bincount(labels)
+    singles = np.flatnonzero(counts[labels] == 1)
+    multi = np.flatnonzero(counts > 1)
+    if not len(multi):
+        return singles, []
+    if counts.max() > GRAM_CAP:
+        raise ValueError(f"component of {counts.max()} species exceeds the dense "
+                         f"Gram cap {GRAM_CAP}")
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(counts)[multi].tolist()
+    return singles, [order[end - size:end] for end, size in zip(ends, counts[multi].tolist())]
 
-    Raises ValueError when a multi-column group has more than ``cap``
-    columns, the most a dense component Gram may hold; each caller passes
-    its own module's ``GRAM_CAP``.
-    """
-    groups = decompose_components(A)
-    multi = [cols for cols in groups if len(cols) > 1]
-    largest = max(map(len, multi), default=0)
-    if largest > cap:
-        raise ValueError(f"component of {largest} species exceeds the dense Gram cap {cap}")
-    singles = np.array([cols[0] for cols in groups if len(cols) == 1], dtype=np.intp)
-    return singles, multi
+
+def component_flags(gram: sp.spmatrix, matrix=None) -> tuple[np.ndarray, int]:
+    """Flags and rank of A from its sparse Gram A'A, summed over the
+    components of :func:`split_components` (they share no rows): the rule
+    behind every rank decision. A singleton is one nonzero column, flagged at
+    rank 1 as the kernel would; each larger component runs
+    :func:`null_space_flags_from_gram` on its dense block, refined with its
+    columns of ``matrix`` (A as CSC) when that is given."""
+    singles, multi = split_components(gram)
+    flags = np.zeros(gram.shape[0], dtype=bool)
+    flags[singles] = True
+    rank = len(singles)
+    for cols, block in zip(multi, component_blocks(gram, multi)):
+        comp_flags, comp_rank = null_space_flags_from_gram(
+            block, matrix=None if matrix is None else matrix[:, cols])
+        flags[cols] = comp_flags
+        rank += comp_rank
+    return flags, rank
+
+
+def component_blocks(gram: sp.spmatrix, multi: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """``gram[cols][:, cols].toarray()`` for each group of ``multi`` in turn,
+    filled from one slice that holds the groups as diagonal blocks."""
+    if not multi:
+        return
+    order = np.concatenate(multi)
+    blocks = gram[order][:, order].tocsr()
+    rows = np.repeat(np.arange(len(order)), np.diff(blocks.indptr))
+    start = 0
+    for cols in multi:
+        end = start + len(cols)
+        run = slice(blocks.indptr[start], blocks.indptr[end])
+        dense = np.zeros((len(cols), len(cols)))
+        dense[rows[run] - start, blocks.indices[run] - start] = blocks.data[run]
+        yield dense
+        start = end
 
 
 def _rel_cutoff(n: int) -> float:
     """Eigenvalue cutoff of an n x n Gram, relative to its largest one."""
     return max((SV_TOL * n) ** 2, 1e-13)
-
-
-def _cert_shift(n: int, trace: float) -> float:
-    """Shift of the Cholesky full-rank certificate for an n x n Gram of trace
-    ``trace``: ``_CERT_MARGIN`` times the eigenvalue cutoff or more (see
-    null_space_flags_from_gram)."""
-    return _CERT_MARGIN * _rel_cutoff(n) * trace
-
-
-def diagonal_block_full_rank(gram_block: sp.csr_matrix) -> bool:
-    """Whether a block Gram G that stores only its diagonal d is full rank by
-    :func:`null_space_flags_from_gram`, without a factorisation.
-
-    True when every d_i exceeds the certificate shift delta for G's trace,
-    ``d.sum()``. Then diag(d) - delta*I is positive definite, so the
-    certificate clears G and the kernel returns every flag True at rank n.
-    A block with any stored off-diagonal entry is declined.
-    """
-    n = gram_block.shape[0]
-    d = gram_block.diagonal()
-    # with n stored entries and all n diagonal entries positive, none is off it
-    return (gram_block.nnz == n
-            and bool(d.min() > _cert_shift(n, float(d.sum()))))
 
 
 def null_space_flags_from_gram(gram: np.ndarray, matrix=None) -> tuple[np.ndarray, int]:
@@ -139,7 +156,7 @@ def null_space_flags_from_gram(gram: np.ndarray, matrix=None) -> tuple[np.ndarra
     trace = float(np.trace(gram)) if n else 0.0
     if 0.0 < trace < np.inf:
         shifted = np.array(gram, dtype=float, order="F")
-        shifted.flat[::n + 1] -= _cert_shift(n, trace)
+        shifted.flat[::n + 1] -= _CERT_MARGIN * _rel_cutoff(n) * trace
         _, info = scipy.linalg.lapack.dpotrf(shifted, lower=True, clean=False,
                                              overwrite_a=True)
         if info == 0:
@@ -182,32 +199,17 @@ def analyze(A: ReadSamplingMatrix) -> IdentifiabilityReport:
     """Full report: rank, per-species flags, null-space dimension, at the
     fixed tolerances ``SV_TOL`` and ``FLAG_TOL``.
 
-    :func:`null_space_flags_from_gram` runs on each multi-column connected
-    component's dense block of the cached Gram ``A.gram``, with the
-    component's columns of A to refine its null basis. A singleton
-    component is one nonzero column: full rank, its species flagged at rank
-    1, which is what the kernel returns for it. Components share no rows, so
-    A's null space is the direct sum of theirs: their ranks add up to A's,
-    and each species' flag is the one its component gives. Raises ValueError
-    when the largest multi-column component exceeds ``GRAM_CAP`` columns.
+    Rank and flags come from :func:`component_flags` on the cached Gram
+    ``A.gram``, refined with A's columns; raises ValueError past ``GRAM_CAP``.
     """
     n = A.n_species
-    singles, multi = split_components(A, GRAM_CAP)
-    gram = A.gram
-    flags = np.zeros(n, dtype=bool)
-    flags[singles] = True
-    total_rank = len(singles)
-    for cols in multi:
-        comp_flags, comp_rank = null_space_flags_from_gram(
-            gram[cols][:, cols].toarray(), matrix=A.matrix[:, cols])
-        flags[cols] = comp_flags
-        total_rank += comp_rank
+    flags, rank = component_flags(A.gram, A.matrix)
     return IdentifiabilityReport(
-        identifiable=total_rank == n,
-        rank=total_rank,
+        identifiable=rank == n,
+        rank=rank,
         n_species=n,
         partial_flags=flags,
-        null_space_dim=n - total_rank,
+        null_space_dim=n - rank,
     )
 
 

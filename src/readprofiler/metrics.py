@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .identifiability import GRAM_CAP, split_components
+from .identifiability import component_blocks, split_components
 from .read_matrix import FrequencyVector, ReadSamplingMatrix
 
 LAMBDA_TOL = 1e-12
@@ -73,15 +73,15 @@ def gram_lambda_min(A: ReadSamplingMatrix) -> float:
     :func:`split_components`. A singleton component's eigenvalue is its
     diagonal entry, read for all of them in one step (``eigvalsh`` of a 1 x 1
     matrix returns that entry exactly); each larger component runs
-    ``eigvalsh`` on its dense block of the same product. Components share no
-    rows, so every block holds the same sums, in the same order, as the
-    product of that component's columns alone. Raises ValueError when the
-    largest multi-column component exceeds ``GRAM_CAP`` columns.
+    ``eigvalsh`` on its dense block (:func:`component_blocks`). Components
+    share no rows, so every block holds the same sums, in the same order, as
+    the product of that component's columns alone. Raises ValueError when
+    the largest multi-column component exceeds ``GRAM_CAP`` columns.
     """
-    singles, multi = split_components(A, GRAM_CAP)
     gram = A.gram
+    singles, multi = split_components(gram)
     lams = gram.diagonal()[singles].tolist()
-    lams += [float(scipy.linalg.eigvalsh(gram[cols][:, cols].toarray())[0]) for cols in multi]
+    lams += [float(scipy.linalg.eigvalsh(block)[0]) for block in component_blocks(gram, multi)]
     return max(min(lams, default=math.inf), 0.0)
 
 

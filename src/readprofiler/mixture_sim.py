@@ -159,6 +159,8 @@ class ReadCounts:
             raise ValueError(f"{path}: missing JSON header line")
         header = require_fields(json.loads(lines[0][1:]), path, read_length=int, total=int)
         L = header["read_length"]
+        if not 1 <= L <= MAX_CODE_LENGTH:
+            raise ValueError(f"{path}: read length {L} outside [1, {MAX_CODE_LENGTH}]")
         numbers, kmers, counts = [], [], []
         for number, line in enumerate(lines[1:], start=2):
             if not line.strip():

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .identifiability import diagonal_block_full_rank, null_space_flags_from_gram
+from .identifiability import component_flags
 from .nnls import DEFAULT_KKT_TOL, X_TOL, NnlsSolution, nnls_from_gram, residual_norm
 from .read_matrix import FrequencyVector, ReadSamplingMatrix, unweight_from_dna
 from .sequence_db import require_fields
@@ -141,19 +141,14 @@ def _solve_block(G, b, params: DncParams) -> NnlsSolution:
     return sol
 
 
-def _block_gram(A: ReadSamplingMatrix, gram, cols) -> tuple[np.ndarray, bool]:
-    """Dense Gram of A's ``cols`` columns, and whether it is full rank
-    without a screen (one column, or :func:`diagonal_block_full_rank`).
-
-    The sparse Gram is a slice of ``gram`` (A'A) when there is one, else the
-    product of those columns alone; it is dropped before the block is solved.
-    """
+def _block_gram(A: ReadSamplingMatrix, gram, cols):
+    """Sparse Gram of A's ``cols`` columns, for the block's solve and its
+    screen: a slice of ``gram`` (A'A) when there is one, else the product of
+    those columns alone."""
     if gram is not None:
-        Gs = gram[cols][:, cols]
-    else:
-        sub = A.matrix[:, cols]
-        Gs = sub.T @ sub
-    return Gs.toarray(), len(cols) == 1 or diagonal_block_full_rank(Gs)
+        return gram[cols][:, cols]
+    sub = A.matrix[:, cols]
+    return sub.T @ sub
 
 
 def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
@@ -166,12 +161,12 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
     :meth:`ReadSamplingMatrix.gram_if_cheap` gives it, so a block costs its
     own size rather than a pass over the K rows; otherwise (species sharing
     many rows) each block forms its own columns' product, and memory stays
-    bounded by the block. Either way the Gram holds the same bits. A block
-    whose Gram is diagonal with entries above the screen's certificate shift
-    is full rank and skips the screen's factorisation
-    (:func:`diagonal_block_full_rank`). The final solve reports ||Ax - y||
-    from the surviving columns of A, and its solution goes onto the simplex
-    by :meth:`FrequencyVector.normalize`.
+    bounded by the block. Either way the Gram holds the same bits. The
+    ambiguity screen runs :func:`component_flags` on every block's sparse
+    Gram, as ``analyze`` does on A'A: a singleton component is full rank as
+    it stands, and only multi-column components are factorised. The final
+    solve reports ||Ax - y|| from the surviving columns of A, and its
+    solution goes onto the simplex by :meth:`FrequencyVector.normalize`.
     """
     params = params or DncParams()
     y = np.asarray(y, dtype=float).ravel()
@@ -198,20 +193,17 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
                                           params.seed, iteration, round_idx)
             for pos in positions:
                 cols = active[pos]
-                G, full_rank = _block_gram(A, gram, cols)
-                sol = _solve_block(G, aty[cols], params)
+                Gs = _block_gram(A, gram, cols)
+                sol = _solve_block(Gs.toarray(), aty[cols], params)
                 blocks_solved += 1
                 if not sol.converged:
                     unconverged += 1
                     logger.warning("block solve did not converge (kkt=%.2e); "
                                    "passing survivors through", sol.kkt_residual)
-                local = sol.x >= params.tau
-                if not full_rank:
-                    # species not pinned down by their block survive to a
-                    # larger joint solve
-                    flags, _ = null_space_flags_from_gram(G)
-                    local |= ~flags
-                marked[pos] |= local
+                # species not pinned down by their block survive to a larger
+                # joint solve
+                flags, _ = component_flags(Gs)
+                marked[pos] |= (sol.x >= params.tau) | ~flags
         survivors = active[marked]
         iterations.append(IterationStats(iteration, len(active), len(survivors),
                                          reps, blocks_solved, unconverged))
@@ -228,7 +220,7 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
             break
 
     # final solve on the surviving columns against the full objective
-    G, _ = _block_gram(A, gram, active)
+    G = _block_gram(A, gram, active).toarray()
     sol = nnls_from_gram(G, aty[active], yty=float(y @ y), kkt_tol=params.kkt_tol)
     sol.residual_norm = residual_norm(A.matrix[:, active], sol.x, y)
     if sol.x.sum() <= 0:

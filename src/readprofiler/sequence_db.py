@@ -47,9 +47,9 @@ _DIGITS4 = np.frombuffer(b"".join(f"{v:04d}".encode() for v in range(10_000))
                                     for v in range(10_000)),
                          dtype="<u4").astype(np.uint64)
 
-#: Largest supported k-mer length. Codes are arbitrary-precision integers and
-#: keys hold as many words as a length needs, so there is no overflow; the cap
-#: only keeps per-k-mer memory bounded.
+#: Largest supported k-mer length: the matrix file's decimal row codes are
+#: exact up to it, as :func:`_decimal_tables` keeps every float64 partial sum
+#: below 2^53 only for W <= 16 key words, that is L <= 512.
 MAX_CODE_LENGTH = 512
 
 

@@ -274,6 +274,18 @@ class TestErrorHandling:
         assert run("random-db", "--n", "0", "--length", "10",
                    "--out", str(tmp_path / "db.fasta")) == 2
 
+    @pytest.mark.parametrize("read_length", [0, -3, 513])
+    def test_counts_read_length_out_of_range_exits_2(self, pipeline_dir, tmp_path,
+                                                     read_length, capsys):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("#" + json.dumps({"read_length": read_length, "total": 5})
+                          + "\n\t5\n")
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(counts), "--out", str(tmp_path / "est.json")) == 2
+        assert f"{counts}: read length {read_length} outside [1, 512]" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "est.json").exists()
+
     def test_bad_experiment_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"random_db": {"n": 5, "length": 20},

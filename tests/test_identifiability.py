@@ -13,12 +13,13 @@ from readprofiler.experiments import ExperimentConfig, run_identifiability_scan
 from readprofiler.identifiability import (
     analyze,
     critical_read_length_scan,
+    component_flags,
     decompose_components,
-    diagonal_block_full_rank,
     find_substring_pairs,
     is_identifiable,
     null_space_flags_from_gram,
     partially_identifiable,
+    split_components,
 )
 from readprofiler.read_matrix import ReadSamplingMatrix, build_matrix
 from readprofiler.sequence_db import KmerIndex, SequenceDatabase
@@ -280,49 +281,88 @@ class TestComponentsFromGram:
         assert len(decompose_components(build_matrix(singletons, 20))) == len(singletons)
 
 
-class TestDiagonalBlockShortcut:
-    @staticmethod
-    def shift(d):
-        """Certificate shift of diag(d) at the default tolerance."""
-        n = len(d)
-        return 1e3 * max((1e-10 * n) ** 2, 1e-13) * d.sum()
+def block_grams(rng, trials):
+    """Seeded sparse block Grams of DnC's sizes: ("diagonal", G) with entries
+    down to 1e-12 of the largest, ("tail", G) with ones and some tail-column
+    entries 4**-k, and ("blocks", G), a column-permuted block-diagonal A'A
+    whose pieces hold 1 to 12 columns, some with a duplicated column."""
+    for trial in range(trials):
+        kind = ("diagonal", "tail", "blocks")[trial % 3]
+        n = int((3, 7, 40, 300, 1000)[trial // 3 % 5])
+        if kind == "diagonal":
+            yield kind, sp.diags(10.0 ** rng.uniform(rng.uniform(-12, -8), 0, n)).tocsr()
+        elif kind == "tail":
+            d = np.ones(n)
+            d[rng.choice(n, max(1, n // 10), replace=False)] = 4.0 ** -rng.integers(1, 13)
+            yield kind, sp.diags(d).tocsr()
+        else:
+            pieces = []
+            while sum(p.shape[1] for p in pieces) < n:
+                width = int(rng.integers(1, 13))
+                piece = rng.random((int(rng.integers(width, 3 * width + 2)), width))
+                piece *= rng.random(piece.shape) < 0.6
+                piece[0] += piece.sum(axis=0) == 0
+                if width > 2 and rng.random() < 0.3:
+                    piece[:, -1] = piece[:, 0]
+                pieces.append(piece / piece.sum(axis=0))
+            a = sp.block_diag(pieces, format="csc")[:, rng.permutation(n)]
+            yield kind, (a.T @ a).tocsr()
 
-    def test_fires_only_where_screen_finds_full_rank(self):
-        rng = np.random.default_rng(17)
-        fired = declined = 0
-        for trial in range(60):
-            n = int((2, 3, 7, 40, 300, 1000, 1200)[trial % 7])
-            d = 10.0 ** rng.uniform(rng.uniform(-12, -8), 0, n)
-            verdict = diagonal_block_full_rank(sp.diags(d).tocsr())
-            assert verdict == (d.min() > self.shift(d))
-            if not verdict:
-                declined += 1
-                continue
-            fired += 1
-            M = np.diag(d)
-            flags, rank = null_space_flags_from_gram(M)
-            assert flags.all() and rank == n
-            evals = scipy.linalg.eigvalsh(M)
-            assert evals[0] > evals[-1] * max((1e-10 * n) ** 2, 1e-13)
-        assert fired >= 10 and declined >= 10
 
-    def test_off_diagonal_entry_declines(self):
-        rng = np.random.default_rng(19)
-        for n in (2, 5, 100, 1000):
-            d = rng.uniform(0.5, 1.0, n)
-            assert diagonal_block_full_rank(sp.diags(d).tocsr())
-            G = sp.diags(d).tolil()
-            i, j = rng.choice(n, 2, replace=False)
-            G[i, j] = G[j, i] = 10.0 ** rng.uniform(-300, 0)
-            assert not diagonal_block_full_rank(G.tocsr())
+class TestComponentFlags:
+    def test_matches_whole_block_kernel(self, monkeypatch):
+        # flags and rank summed over components equal the kernel's on the
+        # whole dense block, and only multi-column components reach it
+        kernel_blocks = []
+        real = identifiability.null_space_flags_from_gram
+        monkeypatch.setattr(identifiability, "null_space_flags_from_gram",
+                            lambda M, matrix=None: kernel_blocks.append(M)
+                            or real(M, matrix=matrix))
+        seen = dict.fromkeys(("diagonal", "tail", "blocks", "deficient", "mixed"), 0)
+        for kind, G in block_grams(np.random.default_rng(29), 90):
+            n = G.shape[0]
+            kernel_blocks.clear()
+            flags, rank = component_flags(G)
+            want_flags, want_rank = real(G.toarray())
+            np.testing.assert_array_equal(flags, want_flags)
+            assert rank == want_rank
+            # the kernel sees each multi-column component's block, bit for bit
+            multi = split_components(G)[1]
+            assert len(kernel_blocks) == len(multi)
+            for M, cols in zip(kernel_blocks, multi):
+                assert len(cols) > 1
+                np.testing.assert_array_equal(M, G[cols][:, cols].toarray())
+            if kind != "blocks":
+                assert not kernel_blocks and flags.all() and rank == n
+            seen[kind] += 1
+            seen["deficient"] += rank < n
+            seen["mixed"] += 0 < flags.sum() < n
+        assert min(seen.values()) >= 10, seen
 
-    def test_tail_column_declined(self):
+    def test_split_matches_decompose_components(self):
+        # singletons and multi-column groups are decompose_components' groups
+        rng = np.random.default_rng(31)
+        for n_seqs, read_len in ((40, 3), (40, 5), (200, 10), (30, 2)):
+            seqs = set()
+            while len(seqs) < n_seqs:
+                seqs.add("".join("ACGT"[d] for d in rng.integers(0, 4, 12)))
+            A = build_matrix(db_of(*sorted(seqs)), read_len)
+            groups = decompose_components(A)
+            singles, multi = split_components(A.gram)
+            np.testing.assert_array_equal(
+                singles, sorted(cols[0] for cols in groups if len(cols) == 1))
+            want = [cols for cols in groups if len(cols) > 1]
+            assert len(multi) == len(want)
+            for got, cols in zip(multi, want):
+                np.testing.assert_array_equal(got, cols)
+
+    def test_tail_column_is_a_full_rank_singleton(self):
         # a column whose sequence is 12 shorter than L has 4**12 entries of
-        # 4**-12, so its Gram diagonal is 4**-12: below the shift at n = 1000
+        # 4**-12, so its Gram diagonal is 4**-12: a singleton all the same
         d = np.ones(1000)
         d[123] = 4.0 ** -12
-        assert d[123] < self.shift(d)
-        assert not diagonal_block_full_rank(sp.diags(d).tocsr())
+        flags, rank = component_flags(sp.diags(d).tocsr())
+        assert flags.all() and rank == 1000
         A = build_matrix(db_of("ACGTAC", "GGATCCAT"), 9)   # tails of 3 and 1
         np.testing.assert_array_equal(A.gram.diagonal(), [4.0 ** -3, 4.0 ** -1])
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from readprofiler import metrics
+from readprofiler import identifiability
 from readprofiler.identifiability import decompose_components
 from readprofiler.metrics import (
     evaluate,
@@ -234,15 +234,15 @@ class TestLambdaMinOracle:
         largest = max(sizes)
         assert 1 < largest < A.n_species and sizes.count(1) >= 1
         ref = lambda_min_per_component_reference(A)
-        monkeypatch.setattr(metrics, "GRAM_CAP", largest)
+        monkeypatch.setattr(identifiability, "GRAM_CAP", largest)
         assert gram_lambda_min(A) == ref
-        monkeypatch.setattr(metrics, "GRAM_CAP", largest - 1)
+        monkeypatch.setattr(identifiability, "GRAM_CAP", largest - 1)
         with pytest.raises(ValueError, match=f"cap {largest - 1}"):
             gram_lambda_min(A)
 
     def test_cap_ignores_singleton_components(self, monkeypatch):
         A = build_matrix(db_of("AAAA", "GGGG", "CCCC", "TTTT"), 2)
-        monkeypatch.setattr(metrics, "GRAM_CAP", 1)
+        monkeypatch.setattr(identifiability, "GRAM_CAP", 1)
         assert gram_lambda_min(A) == lambda_min_per_component_reference(A) == 1.0
 
 

@@ -305,17 +305,20 @@ class TestDncMatchesPerBlockReference:
             divide_and_conquer(A, y, params)
             assert (A.gram_if_cheap() is not None) == cheap
 
-    def test_instances_take_both_screen_paths(self, monkeypatch):
-        # family instances have blocks the screen must factorise; random
-        # instances at L=20 have diagonal blocks the shortcut clears
-        from readprofiler import reconstruct
+    def test_only_family_instances_reach_the_kernel(self, monkeypatch):
+        # family species share k-mers, so their blocks hold multi-column
+        # components the screen must factorise; random species at L=20 share
+        # none, so every block splits into singletons and none is factorised
+        from readprofiler import identifiability
         screened = []
-        real = reconstruct.null_space_flags_from_gram
-        monkeypatch.setattr(reconstruct, "null_space_flags_from_gram",
-                            lambda M: screened.append(M.shape[0]) or real(M))
+        real = identifiability.null_space_flags_from_gram
+        monkeypatch.setattr(identifiability, "null_space_flags_from_gram",
+                            lambda M, matrix=None: screened.append(M.shape[0])
+                            or real(M, matrix=matrix))
         for i, expect_screen in ((0, True), (17, False)):
             A, y, params = oracle_instance(i)
             screened.clear()
             report = divide_and_conquer(A, y, params)
             assert bool(screened) == expect_screen
+            assert min(screened, default=2) > 1
             assert sum(it.blocks_solved for it in report.iterations) > 1
