@@ -135,7 +135,7 @@ def _experiment_config(args) -> ExperimentConfig:
 def cmd_experiment(args) -> int:
     try:
         cfg = _experiment_config(args)
-    except (ValueError, TypeError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, FileNotFoundError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     if args.which == "error-vs-reads":

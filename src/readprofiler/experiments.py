@@ -24,7 +24,7 @@ from .identifiability import critical_read_length_scan
 from .mixture_sim import empirical_frequencies, sample_power_law_mixture, simulate_reads
 from .read_matrix import ReadSamplingMatrix, build_matrix
 from .reconstruct import DncParams, divide_and_conquer
-from .sequence_db import ALPHABET, SequenceDatabase, parse_fasta
+from .sequence_db import ALPHABET, SequenceDatabase, parse_fasta, read_json, require_fields
 
 logger = logging.getLogger(__name__)
 
@@ -82,6 +82,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.db_fasta is None and self.random_db is None:
             raise ValueError("config needs either db_fasta or random_db")
+        if self.random_db is not None:
+            require_fields(self.random_db, "random_db", n=int, length=int)
         if list(self.r_grid) != sorted(set(self.r_grid)) or any(r < 1 for r in self.r_grid):
             raise ValueError("r_grid must be strictly increasing and positive")
         if self.trials < 1:
@@ -92,7 +94,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
-        data = json.loads(Path(path).read_text())
+        data = read_json(path)
         data.update({k: v for k, v in overrides.items() if v is not None})
         if "l_range" in data:
             data["l_range"] = tuple(data["l_range"])

@@ -18,12 +18,13 @@ import numpy as np
 from .read_matrix import FrequencyVector, ReadSamplingMatrix, reweight_to_dna
 from .sequence_db import (
     ALPHABET,
-    MAX_CODE_LENGTH,
     KmerIndex,
     base_digits,
+    check_read_length,
     key_words,
     kmer_keys,
     read_bytes,
+    read_json,
     require_fields,
 )
 
@@ -82,8 +83,7 @@ class MixtureSpec:
 
     @classmethod
     def load(cls, path) -> "MixtureSpec":
-        d = require_fields(json.loads(Path(path).read_text()), path,
-                           support=list[int], frequencies=list[float])
+        d = read_json(path, support=list[int], frequencies=list[float])
         return cls(np.array(d["support"]), np.array(d["frequencies"]),
                    d.get("seed", 0), d.get("generator_tag", "manual"))
 
@@ -159,8 +159,10 @@ class ReadCounts:
             raise ValueError(f"{path}: missing JSON header line")
         header = require_fields(json.loads(lines[0][1:]), path, read_length=int, total=int)
         L = header["read_length"]
-        if not 1 <= L <= MAX_CODE_LENGTH:
-            raise ValueError(f"{path}: read length {L} outside [1, {MAX_CODE_LENGTH}]")
+        try:
+            check_read_length(L)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         numbers, kmers, counts = [], [], []
         for number, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -298,8 +300,7 @@ def read_counts_from_reads(path, read_length: int) -> ReadCounts:
     bases hold a character outside ACGT (such as N) are skipped and counted
     in ``skipped_invalid``. A malformed FASTQ record raises ValueError.
     """
-    if not 1 <= read_length <= MAX_CODE_LENGTH:
-        raise ValueError(f"read length must be in [1, {MAX_CODE_LENGTH}], got {read_length}")
+    check_read_length(read_length)
     data = read_bytes(path)
     buf, starts, ends, lengths = _read_lines(data)
     if data[:1] == b"@":

@@ -18,10 +18,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .sequence_db import (
-    MAX_CODE_LENGTH,
     KmerIndex,
     SequenceDatabase,
     base_digits,
+    check_read_length,
     decimal_to_keys,
     keys_to_decimal,
     kmer_keys,
@@ -236,8 +236,7 @@ class ReadSamplingMatrix:
     def _from_payload(cls, header: dict, payload: memoryview) -> "ReadSamplingMatrix":
         read_length, n_rows, n, nnz = (header[k] for k in ("read_length", "n_rows",
                                                           "n_species", "nnz"))
-        if not 1 <= read_length <= MAX_CODE_LENGTH:
-            raise ValueError(f"read length {read_length} outside [1, {MAX_CODE_LENGTH}]")
+        check_read_length(read_length)
         if min(n_rows, n, nnz) < 1:
             raise ValueError("n_rows, n_species and nnz must be positive")
         numbers = 8 * (3 * nnz + n)
@@ -278,10 +277,7 @@ def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
     Deterministic: identical (db, read_length) always yields the same compact
     row order (first-seen, scanning columns left to right).
     """
-    if read_length < 1:
-        raise ValueError("read length must be >= 1")
-    if read_length > MAX_CODE_LENGTH:
-        raise ValueError(f"read length {read_length} exceeds cap {MAX_CODE_LENGTH}")
+    check_read_length(read_length)
     if len(db) == 0:
         raise ValueError("cannot build a matrix from an empty database")
 

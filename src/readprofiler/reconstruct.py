@@ -19,7 +19,7 @@ import numpy as np
 from .identifiability import component_flags
 from .nnls import DEFAULT_KKT_TOL, X_TOL, NnlsSolution, nnls_from_gram, residual_norm
 from .read_matrix import FrequencyVector, ReadSamplingMatrix, unweight_from_dna
-from .sequence_db import require_fields
+from .sequence_db import read_json
 
 logger = logging.getLogger(__name__)
 
@@ -94,9 +94,8 @@ class ReconstructionReport:
 
 def load_estimate(path) -> FrequencyVector:
     """Read the species frequency vector back out of a saved report."""
-    d = require_fields(json.loads(Path(path).read_text()), path,
-                       n_species=int, support=list[int], frequencies=list[float],
-                       empty=bool)
+    d = read_json(path, n_species=int, support=list[int], frequencies=list[float],
+                  empty=bool)
     support = np.array(d["support"], dtype=np.int64)
     if len(support) != len(d["frequencies"]):
         raise ValueError(f"{path}: support and frequencies differ in length")

@@ -1,14 +1,16 @@
 """Reference sequence database: FASTA ingestion, dedup, k-mer codes and
-packed k-mer keys, and the input-file helpers the loaders share."""
+packed k-mer keys, and the one reader of input files and of their rules."""
 
 from __future__ import annotations
 
 import functools
 import gzip
 import hashlib
+import io
 import json
 import logging
 import re
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from types import GenericAlias
@@ -24,8 +26,10 @@ _TO_DIGITS = str.maketrans("ACGT", "0123")
 _NON_ACGT = re.compile("[^ACGT]")
 #: byte -> base digit: A, C, G, T -> 0-3, every other byte -> 255
 _BYTE_DIGITS = bytes(ALPHABET.find(chr(b)) % 256 for b in range(256))
-_FP_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)    # odd: 2^64 over the golden ratio
-_FP_SHIFT = np.uint64(29)
+#: splitmix64 finalizer: (xor-shift, odd multiplier) twice, then an xor-shift
+_MIX_STEPS = [(np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+              (np.uint64(27), np.uint64(0x94D049BB133111EB))]
+_MIX_LAST = np.uint64(31)
 _QUAD_TO_BYTE = np.uint32(1 << 30 | 1 << 20 | 1 << 10 | 1)
 _E8 = 10 ** 8
 #: rows per chunk of the decimal code conversions, which keep their work
@@ -61,15 +65,19 @@ class AmbiguousBaseError(FastaError):
     """A record contains characters outside {A, C, G, T}."""
 
 
+def check_read_length(length: int) -> None:
+    """ValueError unless 1 <= ``length`` <= :data:`MAX_CODE_LENGTH`: the one
+    rule for every read and k-mer length the package accepts."""
+    if not 1 <= length <= MAX_CODE_LENGTH:
+        raise ValueError(f"read length {length} outside [1, {MAX_CODE_LENGTH}]")
+
+
 def lex_encode(s: str) -> int:
     """1-based index of ``s`` in the lexicographic order of all 4^L strings.
 
     'AAA...A' maps to 1 and 'TTT...T' maps to 4^L, with A < C < G < T.
     """
-    if not s:
-        raise ValueError("cannot encode an empty string")
-    if len(s) > MAX_CODE_LENGTH:
-        raise ValueError(f"k-mer length {len(s)} exceeds cap {MAX_CODE_LENGTH}")
+    check_read_length(len(s))
     bad = _NON_ACGT.search(s)
     if bad:
         raise ValueError(f"invalid character {bad.group()!r} (expected one of ACGT)")
@@ -79,8 +87,7 @@ def lex_encode(s: str) -> int:
 
 def lex_decode(code: int, length: int) -> str:
     """Inverse of :func:`lex_encode` for a given k-mer length."""
-    if not 1 <= length <= MAX_CODE_LENGTH:
-        raise ValueError(f"length must be in [1, {MAX_CODE_LENGTH}], got {length}")
+    check_read_length(length)
     if not 1 <= code <= 4 ** length:
         raise ValueError(f"code {code} out of range [1, 4^{length}]")
     v = code - 1
@@ -239,8 +246,7 @@ def decimal_to_keys(blob, length: int) -> np.ndarray:
     byte other than a decimal digit, a leading zero or a code outside
     [1, 4^length].
     """
-    if not 1 <= length <= MAX_CODE_LENGTH:
-        raise ValueError(f"length must be in [1, {MAX_CODE_LENGTH}], got {length}")
+    check_read_length(length)
     n_words = key_words(length)
     _, to_bin, slots = _decimal_tables(length)
     n_dec = to_bin.shape[1]
@@ -303,13 +309,17 @@ def decimal_to_keys(blob, length: int) -> np.ndarray:
 
 
 def _fingerprint(keys: np.ndarray) -> np.ndarray:
-    """Multiplicative hash of each key's words (Knuth, TAOCP vol. 3, 6.4).
-    One-word keys never collide: each step is a bijection of uint64."""
+    """Hash of each key's words, each xored in and then mixed into every bit
+    by the splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014), so no
+    later word can cancel a difference. One-word keys never collide: each
+    step is a bijection of uint64."""
     fp = np.zeros(len(keys), dtype=np.uint64)
     for w in range(keys.shape[1]):
         fp ^= keys[:, w]
-        fp *= _FP_MULTIPLIER
-        fp ^= fp >> _FP_SHIFT
+        for shift, multiplier in _MIX_STEPS:
+            fp ^= fp >> shift
+            fp *= multiplier
+        fp ^= fp >> _MIX_LAST
     return fp
 
 
@@ -496,18 +506,24 @@ class SequenceDatabase:
         Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _open_text(path):
-    path = Path(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, "rt")
-    return open(path)
-
-
 def read_bytes(path) -> bytes:
-    """The bytes of a plain file, or the decompressed bytes of a gzipped one
-    (the same ``.gz`` suffix rule as FASTA input)."""
+    """The bytes of a plain file, or the decompressed bytes of a ``.gz`` one;
+    ValueError naming the file if its gzip data are not whole and intact."""
     data = Path(path).read_bytes()
-    return gzip.decompress(data) if Path(path).suffix == ".gz" else data
+    try:
+        return gzip.decompress(data) if Path(path).suffix == ".gz" else data
+    except (EOFError, OSError, zlib.error) as exc:     # truncated, not gzip, corrupt
+        raise ValueError(f"{path}: damaged gzip data: {exc}") from None
+
+
+def read_json(path, **types) -> dict:
+    """The JSON object in the file at ``path``, checked by :func:`require_fields`
+    against ``types``; ValueError naming the file for text that is not JSON."""
+    try:
+        record = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return require_fields(record, path, **types)
 
 
 def require_fields(record, path, **types) -> dict:
@@ -541,60 +557,46 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def iter_fasta(path) -> Iterator[tuple[str, str]]:
-    """Yield (header, sequence) pairs from a plain or gzipped FASTA file."""
-    label = None
-    chunks: list[str] = []
-    with _open_text(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(">"):
-                if label is not None:
-                    yield label, "".join(chunks)
-                label = line[1:].strip()
-                chunks = []
-            elif label is None:
-                raise FastaError(f"{path}: sequence data before first '>' header")
-            else:
-                chunks.append(line)
-    if label is not None:
-        yield label, "".join(chunks)
-
-
 def parse_fasta(path, drop_ambiguous: bool = False) -> SequenceDatabase:
-    """Load a FASTA file into a validated, deduplicated database.
+    """Load a plain or gzipped FASTA file into a validated, deduplicated
+    database. The bytes of :func:`read_bytes` are decoded as ``open(path)``
+    decodes them: the locale's encoding, universal newlines.
 
-    Sequences are upper-cased before they are checked.
-    Records containing characters outside ACGT are dropped (and counted) when
-    ``drop_ambiguous`` is set, otherwise they raise :class:`AmbiguousBaseError`.
-    Exact duplicate sequences collapse to the first-seen record; the dropped
-    labels are recorded in ``dedup_map``.
+    Sequences are upper-cased before they are checked. Records containing
+    characters outside ACGT are dropped (and counted) when ``drop_ambiguous``
+    is set, otherwise they raise :class:`AmbiguousBaseError`. Exact duplicate
+    sequences collapse to the first-seen record, as in :meth:`from_sequences
+    <SequenceDatabase.from_sequences>`; the dropped labels are in ``dedup_map``.
     """
-    records: list[SpeciesRecord] = []
-    dedup_map: dict[str, int] = {}
-    seen: dict[str, int] = {}
-    dropped = 0
-    n_parsed = 0
-    for label, seq in iter_fasta(path):
-        n_parsed += 1
-        seq = seq.upper()
+    kept, dropped = [], []
+
+    def keep(label, chunks):
+        seq = "".join(chunks).upper()
         if not seq:
             raise FastaError(f"{path}: empty sequence for record {label!r}")
         bad = _NON_ACGT.search(seq)
-        if bad:
-            if drop_ambiguous:
-                dropped += 1
-                logger.warning("dropping record %r: ambiguous characters", label)
-                continue
+        if not bad:
+            kept.append((label, seq))
+        elif drop_ambiguous:
+            dropped.append(label)
+            logger.warning("dropping record %r: ambiguous characters", label)
+        else:
             raise AmbiguousBaseError(f"{path}: record {label!r} contains {bad.group()!r}")
-        if seq in seen:
-            dedup_map[label] = seen[seq]
-            continue
-        rid = len(records) + 1
-        seen[seq] = rid
-        records.append(SpeciesRecord(rid, label, seq))
-    if n_parsed == 0:
+
+    label, chunks = None, []
+    for line in io.TextIOWrapper(io.BytesIO(read_bytes(path))):
+        line = line.strip()         # a blank line adds "" to a record, or nothing
+        if line.startswith(">"):
+            if label is not None:
+                keep(label, chunks)
+            label, chunks = line[1:].strip(), []
+        elif label is not None:
+            chunks.append(line)
+        elif line:
+            raise FastaError(f"{path}: sequence data before first '>' header")
+    if label is None:
         raise FastaError(f"{path}: no FASTA records found")
-    return SequenceDatabase(records, dedup_map, dropped)
+    keep(label, chunks)
+    db = SequenceDatabase.from_sequences([s for _, s in kept], [lab for lab, _ in kept])
+    db.dropped_ambiguous = len(dropped)
+    return db

@@ -293,6 +293,36 @@ class TestErrorHandling:
         assert run("experiment", "error-vs-reads", "--config", str(cfg),
                    "--out-dir", str(tmp_path / "out")) == 2
 
+    @pytest.mark.parametrize("config,why", [
+        ({"random_db": {"length": 20}}, "random_db: missing field 'n'"),
+        ({"random_db": {"n": 5}}, "random_db: missing field 'length'"),
+        ({"random_db": {"n": 5, "length": "20"}}, "random_db: field 'length' must be int"),
+        ({"random_db": [5, 20]}, "random_db: expected a JSON object, got list"),
+        ([1, 2], "{cfg}: expected a JSON object, got list"),
+        ("not json", "{cfg}: Expecting value"),
+    ], ids=["no_n", "no_length", "string_length", "list_random_db", "list", "not_json"])
+    def test_malformed_experiment_config_exits_2(self, tmp_path, capsys, config, why):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        assert run("experiment", "error-vs-reads", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"invalid config: {why.format(cfg=cfg)}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_truth_not_json_exits_2(self, pipeline_dir, tmp_path, capsys):
+        est, truth = tmp_path / "est.json", tmp_path / "truth.json"
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(pipeline_dir / "reads.tsv"), "--out", str(est)) == 0
+        truth.write_text((pipeline_dir / "truth.json").read_text()[:-5])
+        capsys.readouterr()
+        assert run("evaluate", "--truth", str(truth), "--estimate", str(est),
+                   "--matrix", str(pipeline_dir / "matrix.bin"), "--reads-count", "20000",
+                   "--skip-lambda", "--out", str(tmp_path / "eval.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {truth}: Unterminated string") and "Traceback" not in err
+        assert not (tmp_path / "eval.json").exists()
+
     @pytest.mark.parametrize("key", ["collect_ambiguous", "literal_ambiguity_rule"])
     def test_removed_dnc_knob_rejected(self, tmp_path, key):
         cfg = tmp_path / "cfg.json"

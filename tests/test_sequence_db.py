@@ -1,17 +1,27 @@
+import gzip
 import itertools
+import json
 import random
+import re
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from readprofiler import sequence_db
+from readprofiler.cli import main
 from readprofiler.experiments import generate_random_db
+from readprofiler.mixture_sim import ReadCounts, read_counts_from_reads
+from readprofiler.read_matrix import ReadSamplingMatrix, build_matrix
 from readprofiler.sequence_db import (
     MAX_CODE_LENGTH,
     AmbiguousBaseError,
     FastaError,
+    KmerIndex,
     SequenceDatabase,
+    SpeciesRecord,
     base_digits,
     codes_to_keys,
     decimal_to_keys,
@@ -267,6 +277,239 @@ class TestParseFasta:
         db = parse_fasta(path)
         seqs = [r.sequence for r in db]
         assert len(seqs) == len(set(seqs)) == 3
+
+
+def reference_iter_fasta(path):
+    """The line reader parse_fasta used before it read through read_bytes:
+    (header, sequence) pairs from open() or gzip.open() in text mode."""
+    label = None
+    chunks: list[str] = []
+    with gzip.open(path, "rt") if Path(path).suffix == ".gz" else open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith(">"):
+                if label is not None:
+                    yield label, "".join(chunks)
+                label = line[1:].strip()
+                chunks = []
+            elif label is None:
+                raise FastaError(f"{path}: sequence data before first '>' header")
+            else:
+                chunks.append(line)
+    if label is not None:
+        yield label, "".join(chunks)
+
+
+def reference_parse_fasta(path, drop_ambiguous=False):
+    """parse_fasta as it was before it read through read_bytes, with its
+    own deduplication loop."""
+    records: list[SpeciesRecord] = []
+    dedup_map: dict[str, int] = {}
+    seen: dict[str, int] = {}
+    dropped = 0
+    n_parsed = 0
+    for label, seq in reference_iter_fasta(path):
+        n_parsed += 1
+        seq = seq.upper()
+        if not seq:
+            raise FastaError(f"{path}: empty sequence for record {label!r}")
+        bad = re.search("[^ACGT]", seq)
+        if bad:
+            if drop_ambiguous:
+                dropped += 1
+                continue
+            raise AmbiguousBaseError(f"{path}: record {label!r} contains {bad.group()!r}")
+        if seq in seen:
+            dedup_map[label] = seen[seq]
+            continue
+        rid = len(records) + 1
+        seen[seq] = rid
+        records.append(SpeciesRecord(rid, label, seq))
+    if n_parsed == 0:
+        raise FastaError(f"{path}: no FASTA records found")
+    return SequenceDatabase(records, dedup_map, dropped)
+
+
+def fasta_oracle_bytes(rng):
+    """One seeded FASTA file as bytes: mixed line endings, blank and
+    whitespace-only lines, whitespace at line ends, lowercase bases,
+    wrapped and duplicate sequences, non-ASCII labels; and, in some files,
+    ambiguous bases, empty records, data before the first header, no
+    record at all or a byte that is not UTF-8."""
+    def pad():
+        return rng.choice(["", "", " ", "\t", " \t ", "\x0b", "\x0c"])
+
+    lines = [pad() for _ in range(rng.choice([0, 0, 1, 2]))]
+    if rng.random() < 0.05:
+        lines.append("ACGT")                                  # before the first header
+    seqs = []
+    for i in range(0 if rng.random() < 0.03 else rng.randint(1, 25)):
+        label = rng.choice(["s", "é", "α β", "\u2028x", "🧬", "x\x85", ""]) + str(i)
+        lines.append(pad() + ">" + pad() + label + pad())
+        if rng.random() < 0.02:
+            continue                                          # empty record
+        if seqs and rng.random() < 0.2:
+            seq = rng.choice(seqs)                            # duplicate
+        else:
+            seq = "".join(rng.choice("ACGT") for _ in range(rng.randint(1, 90)))
+            if rng.random() < 0.08:
+                at = rng.randrange(len(seq) + 1)
+                seq = seq[:at] + rng.choice("NRn-*") + seq[at:]
+            seqs.append(seq)
+        seq = "".join(c.lower() if rng.random() < 0.1 else c for c in seq)
+        width = rng.randint(1, 70)
+        for at in range(0, len(seq), width):
+            lines.append(pad() + seq[at:at + width] + pad())
+            if rng.random() < 0.05:
+                lines.append(pad())
+    ends = ["\n", "\r\n", "\r"]
+    mixed = rng.random() < 0.3
+    end = rng.choice(ends)
+    data = bytearray("".join(ln + (rng.choice(ends) if mixed else end) for ln in lines)
+                     .encode())
+    if data and rng.random() < 0.05:
+        data.insert(rng.randrange(len(data)), 0xFF)
+    return bytes(data)
+
+
+def parse_outcome(parse, path, drop_ambiguous):
+    try:
+        db = parse(path, drop_ambiguous=drop_ambiguous)
+    except Exception as exc:            # the type and the message are compared
+        return type(exc), str(exc)
+    return ([(r.id, r.label, r.sequence) for r in db.records], db.labels, db.dedup_map,
+            db.dropped_ambiguous)
+
+
+class TestParseFastaOracle:
+    def test_matches_line_reader(self, tmp_path):
+        rng = random.Random(20261019)
+        kinds = []
+        for case in range(160):
+            data = fasta_oracle_bytes(rng)
+            for name, blob in (("db.fasta", data), ("db.fasta.gz", gzip.compress(data))):
+                path = tmp_path / f"{case}-{name}"
+                path.write_bytes(blob)
+                for drop in (False, True):
+                    want = parse_outcome(reference_parse_fasta, path, drop)
+                    assert parse_outcome(parse_fasta, path, drop) == want, (case, name, drop)
+                    kinds.append(want[0] if isinstance(want[0], type) else
+                                 "dedup" if want[2] else "dropped" if want[3] else "ok")
+        # every outcome occurs, and most files parse
+        assert kinds.count("ok") + kinds.count("dedup") + kinds.count("dropped") > len(kinds) / 2
+        assert {"ok", "dedup", "dropped", AmbiguousBaseError, FastaError,
+                UnicodeDecodeError} <= set(kinds)
+
+
+class TestFingerprint:
+    def test_no_cancelling_two_word_xor(self):
+        # a difference of 2^62 in one word used to come out of that word's
+        # step as 0x4000000200000000, which the same difference in the next
+        # word cancelled (half of all such pairs collided)
+        rng = np.random.default_rng(15)
+        keys = rng.integers(0, 2 ** 63, size=(10_000, 4), dtype=np.int64).view(np.uint64)
+        keys <<= np.uint64(1)
+        keys |= rng.integers(0, 2, size=keys.shape, dtype=np.int64).view(np.uint64)
+        for w in range(keys.shape[1] - 1):
+            other = keys.copy()
+            other[:, w] ^= np.uint64(0x4000000000000000)
+            other[:, w + 1] ^= np.uint64(0x4000000200000000)
+            assert not (sequence_db._fingerprint(keys) == sequence_db._fingerprint(other)).any()
+            index, rows = KmerIndex.first_seen(np.concatenate([keys, other]))
+            np.testing.assert_array_equal(rows, np.arange(2 * len(keys)))
+
+    def test_one_word_keys_never_collide(self):
+        keys = np.arange(1 << 16, dtype=np.uint64).reshape(-1, 1) << np.uint64(48)
+        assert len(np.unique(sequence_db._fingerprint(keys))) == len(keys)
+
+
+#: gzip damage: the bytes of a damaged copy of a compressed file, and the
+#: error gzip.decompress raises for them
+GZIP_DAMAGE = {
+    "truncated": (lambda gz, raw: gz[:len(gz) // 2], EOFError),
+    "not_gzip": (lambda gz, raw: raw, gzip.BadGzipFile),
+    "bad_crc": (lambda gz, raw: gz[:-8] + bytes([gz[-8] ^ 1]) + gz[-7:], gzip.BadGzipFile),
+    "corrupt_deflate": (lambda gz, raw: gz[:10] + b"\xff" * 16 + gz[26:], zlib.error),
+}
+
+
+class TestDamagedGzip:
+    @staticmethod
+    def damaged(tmp_path, name, raw, damage):
+        cut, error = GZIP_DAMAGE[damage]
+        blob = cut(gzip.compress(raw), raw)
+        with pytest.raises(error):
+            gzip.decompress(blob)
+        path = tmp_path / name
+        path.write_bytes(blob)
+        return path
+
+    @staticmethod
+    def fasta():
+        return generate_random_db(40, 80, seed=3).fasta_text().encode()
+
+    @pytest.mark.parametrize("damage", GZIP_DAMAGE)
+    def test_readers_name_the_file(self, tmp_path, damage):
+        db = self.damaged(tmp_path, "db.fasta.gz", self.fasta(), damage)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(db))}: damaged gzip data"):
+            parse_fasta(db)
+        raw = b"".join(b"@r\n" + s[:20] + b"\n+\n" + b"I" * 20 + b"\n"
+                       for s in self.fasta().split(b"\n")[1::2])
+        reads = self.damaged(tmp_path, "reads.fq.gz", raw, damage)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(reads))}: damaged gzip data"):
+            read_counts_from_reads(reads, 8)
+
+    @pytest.mark.parametrize("damage", GZIP_DAMAGE)
+    def test_cli_exits_2(self, tmp_path, capsys, damage):
+        plain = tmp_path / "db.fasta"
+        plain.write_bytes(self.fasta())
+        matrix = tmp_path / "A.rsm"
+        assert main(["build-matrix", "--db", str(plain), "--read-len", "8",
+                     "--out", str(matrix)]) == 0
+        db = self.damaged(tmp_path, "db.fasta.gz", self.fasta(), damage)
+        reads = self.damaged(tmp_path, "reads.txt.gz", b"ACGTACGTAA\n" * 50, damage)
+        capsys.readouterr()
+        assert main(["build-matrix", "--db", str(db), "--read-len", "8",
+                     "--out", str(tmp_path / "B.rsm")]) == 2
+        err = capsys.readouterr().err
+        assert f"{db}: damaged gzip data" in err and "Traceback" not in err
+        assert not (tmp_path / "B.rsm").exists()
+        assert main(["reconstruct", "--matrix", str(matrix), "--reads", str(reads),
+                     "--raw-reads", "--out", str(tmp_path / "est.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"{reads}: damaged gzip data" in err and "Traceback" not in err
+        assert not (tmp_path / "est.json").exists()
+
+
+class TestReadLengthRule:
+    """Every reader of a read or k-mer length applies check_read_length."""
+
+    @pytest.mark.parametrize("L", [0, -1, MAX_CODE_LENGTH + 1])
+    def test_every_call_site(self, tmp_path, L):
+        message = f"^read length {L} outside \\[1, 512\\]$"
+        calls = [lambda: lex_decode(1, L), lambda: decimal_to_keys(b"1", L),
+                 lambda: build_matrix(SequenceDatabase.from_sequences(["ACGT"]), L)]
+        if L >= 0:
+            calls.append(lambda: lex_encode("A" * L))
+        reads = tmp_path / "reads.txt"
+        reads.write_text("ACGT\n")
+        calls.append(lambda: read_counts_from_reads(reads, L))
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+        # the file loaders put the file's name in front
+        matrix = tmp_path / "A.rsm"
+        build_matrix(SequenceDatabase.from_sequences(["ACGTAC"]), 3).save(matrix)
+        line, payload = matrix.read_bytes().split(b"\n", 1)
+        matrix.write_bytes(json.dumps(json.loads(line) | {"read_length": L}, sort_keys=True)
+                           .encode() + b"\n" + payload)
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("#" + json.dumps({"read_length": L, "total": 1}) + "\nACG\t1\n")
+        for path, load in ((matrix, ReadSamplingMatrix.load), (counts, ReadCounts.load)):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: " + message[1:]):
+                load(path)
 
 
 class TestSequenceDatabase:
