@@ -35,11 +35,14 @@ def l2_metric(x, x_hat) -> float:
 
 def mahalanobis_metric(x, x_hat, A: ReadSamplingMatrix) -> float:
     """Similarity-aware distance sqrt((x - x_hat)' A'A (x - x_hat)),
-    computed as ||A(x - x_hat)||_2."""
+    computed as ||A(x - x_hat)||_2 from the columns where x and x_hat
+    differ; the others would add exact zeros."""
     a, b = _values(x), _values(x_hat)
     if a.shape != b.shape or len(a) != A.n_species:
         raise ValueError("dimension mismatch with the read-sampling matrix")
-    return float(np.linalg.norm(A.matrix @ (a - b)))
+    d = a - b
+    cols = np.flatnonzero(d)
+    return float(np.linalg.norm(A.matrix[:, cols] @ d[cols]))
 
 
 def mahalanobis_error_bound(n_reads: int, delta: float) -> float:

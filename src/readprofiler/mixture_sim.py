@@ -446,10 +446,12 @@ def simulate_reads(A: ReadSamplingMatrix, x: FrequencyVector, n_reads: int,
     read = _guide_invert(col_cum, sizes, run, v)
 
     # columns that share a k-mer share its row
-    per_row = np.zeros(A.n_rows, dtype=np.int64)
-    np.add.at(per_row, m.indices[entries], np.bincount(read, minlength=len(entries)))
-    rows = np.flatnonzero(per_row)
-    return ReadCounts(A.index.keys[rows], per_row[rows], A.read_length, n_reads, seed=seed)
+    rows, row_of = np.unique(m.indices[entries], return_inverse=True)
+    per_row = np.zeros(len(rows), dtype=np.int64)
+    np.add.at(per_row, row_of, np.bincount(read, minlength=len(entries)))
+    hit = per_row > 0
+    return ReadCounts(A.index.keys[rows[hit]], per_row[hit], A.read_length, n_reads,
+                      seed=seed)
 
 
 @dataclass

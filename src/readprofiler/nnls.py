@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .read_matrix import FrequencyVector
 
@@ -38,22 +38,31 @@ class NnlsSolution:
     rank_deficient: bool = False
 
 
-def _solve_passive(G: np.ndarray, b: np.ndarray, passive: np.ndarray):
-    """Least-squares coefficients on the passive set. Falls back to a
-    minimum-norm solve when the passive Gram block is rank deficient."""
-    Gp = G[np.ix_(passive, passive)]
-    bp = b[passive]
-    try:
-        c, low = scipy.linalg.cho_factor(Gp)
-        return scipy.linalg.cho_solve((c, low), bp), False
-    except (scipy.linalg.LinAlgError, ValueError):
-        z, _, rank, _ = np.linalg.lstsq(Gp, bp, rcond=None)
-        return z, rank < len(bp)
+def _solve_passive(G: np.ndarray, b: np.ndarray, P: np.ndarray):
+    """Least-squares coefficients on the passive columns ``P``, from LAPACK's
+    Cholesky routines as ``cho_factor`` and ``cho_solve`` call them. Falls
+    back to a minimum-norm solve when the passive Gram block is not positive
+    definite or the solve is not finite."""
+    bp = b[P]
+    # the transpose of the C-ordered copy is the same block (G is symmetric),
+    # laid out for LAPACK, so it is factored in place
+    c, info = dpotrf(G[np.ix_(P, P)].T, overwrite_a=1, clean=0)
+    if info == 0:
+        z, info = dpotrs(c, bp)
+        if info == 0 and np.isfinite(z).all():
+            return z, False
+    z, _, rank, _ = np.linalg.lstsq(G[np.ix_(P, P)], bp, rcond=None)
+    return z, rank < len(bp)
 
 
 def nnls_from_gram(G, b, yty: float = 0.0, kkt_tol: float = DEFAULT_KKT_TOL,
                    max_iter: int | None = None) -> NnlsSolution:
     """Solve min ||Ax - y||_2 s.t. x >= 0 given G = A'A, b = A'y, yty = y'y.
+
+    G must be symmetric bit for bit, as A'A is: entry (i, j) sums the same
+    products in the same order as entry (j, i). Each step then takes the
+    gradient from the passive rows of G, so it costs the passive set times
+    n rather than n squared.
 
     The reported ``residual_norm`` comes from the Gram expansion
     sqrt(y'y - 2x'b + x'Gx), whose terms cancel when the fit is near-exact:
@@ -86,8 +95,8 @@ def nnls_from_gram(G, b, yty: float = 0.0, kkt_tol: float = DEFAULT_KKT_TOL,
         x_feasible = x.copy()
         inner_guard = 0
         while True:
-            P = np.where(passive)[0]
-            z, deficient = _solve_passive(G, b, passive)
+            P = np.flatnonzero(passive)
+            z, deficient = _solve_passive(G, b, P)
             rank_deficient = rank_deficient or deficient
             if np.all(z > 0):
                 break
@@ -111,18 +120,21 @@ def nnls_from_gram(G, b, yty: float = 0.0, kkt_tol: float = DEFAULT_KKT_TOL,
         if stalled:
             x = x_feasible  # the last feasible iterate; z may be infeasible
             break
+        P = np.flatnonzero(passive)
         x[:] = 0.0
-        if passive.any():
-            x[np.where(passive)[0]] = z
-        w = b - G @ x
+        x[P] = z
+        # G is symmetric, so its rows P are its columns P: this is b - G @ x
+        # with the zero terms of x left out
+        w = b - z @ G[P]
 
-    g = G @ x - b
+    Gx = G @ x
+    g = Gx - b
     free = x > X_TOL
     kkt_residual = max(
         float(max(0.0, -g.min())) if n else 0.0,
         float(np.abs(g[free]).max()) if free.any() else 0.0,
     )
-    residual_sq = yty - 2.0 * x @ b + x @ (G @ x)
+    residual_sq = yty - 2.0 * x @ b + x @ Gx
     return NnlsSolution(
         x=x,
         residual_norm=float(np.sqrt(max(0.0, residual_sq))),
@@ -135,7 +147,9 @@ def nnls_from_gram(G, b, yty: float = 0.0, kkt_tol: float = DEFAULT_KKT_TOL,
 
 def residual_norm(A, x, y) -> float:
     """||Ax - y||_2 from the residual vector, for a dense or sparse ``A``."""
-    return float(np.linalg.norm(np.asarray(A @ x).ravel() - y))
+    r = np.asarray(A @ x, dtype=float).ravel()
+    r -= y
+    return float(np.linalg.norm(r))
 
 
 def nnls_solve(A_sub, y, kkt_tol: float = DEFAULT_KKT_TOL,

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from readprofiler import identifiability
+from readprofiler.experiments import generate_random_db
 from readprofiler.identifiability import decompose_components
 from readprofiler.metrics import (
     evaluate,
@@ -14,7 +15,8 @@ from readprofiler.metrics import (
     mahalanobis_error_bound,
     mahalanobis_metric,
 )
-from readprofiler.mixture_sim import empirical_frequencies, simulate_reads
+from readprofiler.mixture_sim import empirical_frequencies, sample_power_law_mixture, \
+    simulate_reads
 from readprofiler.nnls import nnls_solve
 from readprofiler.read_matrix import FrequencyVector, build_matrix, reweight_to_dna
 from readprofiler.sequence_db import SequenceDatabase
@@ -93,6 +95,34 @@ class TestMahalanobisMetric:
         a, b = rng.random(3), rng.random(3)
         assert mahalanobis_metric(a, b, A) == pytest.approx(
             mahalanobis_metric(a[perm], b[perm], A_p), rel=1e-12)
+
+
+def reference_mahalanobis_metric(x, x_hat, A):
+    """The metric before it skipped the columns where x and x_hat agree:
+    the product over all N columns."""
+    d = np.asarray(x, dtype=float) - np.asarray(x_hat, dtype=float)
+    return float(np.linalg.norm(A.matrix @ d))
+
+
+class TestMahalanobisMatchesReference:
+    def test_bit_for_bit(self):
+        # family members share most k-mers, so a row sums over many columns
+        # and a change of summation order would show
+        rng = np.random.default_rng(5)
+        founder = "".join("ACGT"[b] for b in rng.integers(0, 4, 60))
+        family = [founder[:p] + "ACGT"[(("ACGT".index(founder[p])) + 1) % 4]
+                  + founder[p + 1:] for p in range(0, 60, 3)]
+        cases = [build_matrix(db_of(*family), 8),
+                 build_matrix(generate_random_db(300, 100, seed=6), 12)]
+        for A in cases:
+            n = A.n_species
+            x = sample_power_law_mixture(n, n // 4, 1.0, seed=7).full_vector(n).values
+            x_hat = x.copy()
+            x_hat[rng.choice(n, n // 3, replace=False)] = rng.random(n // 3) / n
+            x_hat[x_hat < 0.5 / n] = 0.0      # zero weight in x, x_hat or both
+            for a, b in ((x, x_hat), (x_hat, x), (x, x), (x, np.zeros(n))):
+                assert mahalanobis_metric(a, b, A) == reference_mahalanobis_metric(a, b, A)
+        assert mahalanobis_metric(x, x, A) == 0.0
 
 
 class TestBounds:

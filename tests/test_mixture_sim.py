@@ -475,6 +475,53 @@ class TestPackedKeyReadPaths:
         rc = simulate_reads(A, mix, len(u), seed=0)
         assert code_items(rc) == self.mask_loop_counts(A, mix, len(u), 0)
 
+    @staticmethod
+    def reference_simulate_reads(A, x, n_reads, seed):
+        """simulate_reads as it counted reads before: into a K-long array of
+        per-row counts, whose nonzero rows it then kept."""
+        rng = np.random.default_rng(seed)
+        u, v = rng.random(n_reads), rng.random(n_reads)
+        x_dna = x if x.kind == "dna" else reweight_to_dna(x, A.col_lengths)
+        cum = np.cumsum(x_dna.values)
+        cum[-1] = 1.0
+        step = np.append(cum[0] > 0, cum[1:] > cum[:-1])
+        step[-1] = True
+        species = np.flatnonzero(step)
+        pick = _guide_invert(cum[species], [len(species)], 0, u)
+        m = A.matrix
+        hit = np.bincount(pick, minlength=len(species)) > 0
+        drawn = species[hit]
+        start = m.indptr[drawn]
+        sizes = m.indptr[drawn + 1] - start
+        stop = np.cumsum(sizes)
+        entries = np.repeat(start - (stop - sizes), sizes) + np.arange(stop[-1])
+        col_cum = _run_cumsums(m.data[entries], sizes)
+        col_cum[stop - 1] = 1.0
+        read = _guide_invert(col_cum, sizes, (np.cumsum(hit) - 1)[pick], v)
+        per_row = np.zeros(A.n_rows, dtype=np.int64)
+        np.add.at(per_row, m.indices[entries], np.bincount(read, minlength=len(entries)))
+        rows = np.flatnonzero(per_row)
+        return A.index.keys[rows], per_row[rows]
+
+    def test_per_row_counts_match_reference(self):
+        # family members share k-mers, so one row collects reads from several
+        # drawn columns; few reads leave some drawn entries without a read
+        rng = np.random.default_rng(30)
+        founder = "".join("ACGT"[b] for b in rng.integers(0, 4, 40))
+        family = db_of(*(founder[:p] + "ACGT"[("ACGT".index(founder[p]) + 1) % 4]
+                         + founder[p + 1:] for p in range(0, 40, 4)))
+        cases = [(build_matrix(family, 6), 10), (build_matrix(family, 30), 10),
+                 (build_matrix(generate_random_db(200, 80, seed=31), 20), 200)]
+        for A, n in cases:
+            mixes = [sample_power_law_mixture(n, n // 3, 1.0, seed=32).full_vector(n),
+                     FrequencyVector(np.eye(n)[n - 1], "species", normalized=True)]
+            for mix in mixes:
+                for n_reads, seed in ((1, 33), (50, 34), (20000, 35)):
+                    rc = simulate_reads(A, mix, n_reads, seed)
+                    keys, counts = self.reference_simulate_reads(A, mix, n_reads, seed)
+                    assert np.array_equal(rc.keys, keys)
+                    assert np.array_equal(rc.counts, counts)
+
     def test_empty_column_raises_only_when_drawn(self):
         A = build_matrix(db_of("ACGTACGGTTACGATTGCA", "GGCATTGACCATGA", "TTTAGC", "CA"), 4)
         m = A.matrix @ sp.diags([1.0, 0.0, 1.0, 0.0])

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from readprofiler import nnls
@@ -129,8 +130,8 @@ class TestNnlsSolve:
     def test_degenerate_exit_keeps_feasible_point(self, monkeypatch):
         # a passive solve whose z always has a -inf entry never lets the step
         # drop a column, so the inner loop reaches its degenerate-cycling exit
-        def never_positive(G, b, passive):
-            z = np.ones(int(passive.sum()))
+        def never_positive(G, b, P):
+            z = np.ones(len(P))
             z[-1] = -np.inf
             return z, False
 
@@ -142,6 +143,163 @@ class TestNnlsSolve:
         assert np.all(np.isfinite(sol.x))
         assert np.all(sol.x >= 0)
         assert not sol.converged
+
+
+def reference_nnls_from_gram(G, b, yty=0.0, kkt_tol=nnls.DEFAULT_KKT_TOL, max_iter=None):
+    """The solver before it took the gradient from the passive rows: every
+    step forms b - G @ x over all n columns, and each passive block goes
+    through scipy's ``cho_factor`` and ``cho_solve``."""
+    def solve_passive(passive):
+        Gp = G[np.ix_(passive, passive)]
+        bp = b[passive]
+        try:
+            c, low = scipy.linalg.cho_factor(Gp)
+            return scipy.linalg.cho_solve((c, low), bp), False
+        except (scipy.linalg.LinAlgError, ValueError):
+            z, _, rank, _ = np.linalg.lstsq(Gp, bp, rcond=None)
+            return z, rank < len(bp)
+
+    G = np.asarray(G, dtype=float)
+    b = np.asarray(b, dtype=float).ravel()
+    n = len(b)
+    if max_iter is None:
+        max_iter = 3 * n + 30
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    w = b.copy()
+    iterations = 0
+    rank_deficient = False
+    stalled = False
+    while iterations < max_iter:
+        candidates = np.where(~passive & (w > kkt_tol))[0]
+        if candidates.size == 0:
+            break
+        iterations += 1
+        passive[candidates[np.argmax(w[candidates])]] = True
+        x_feasible = x.copy()
+        inner_guard = 0
+        while True:
+            P = np.where(passive)[0]
+            z, deficient = solve_passive(passive)
+            rank_deficient = rank_deficient or deficient
+            if np.all(z > 0):
+                break
+            inner_guard += 1
+            if inner_guard > n + 1:
+                stalled = True
+                break
+            xp = x[P]
+            neg = z <= 0
+            denom = xp[neg] - z[neg]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(denom > 0, xp[neg] / denom, 0.0)
+            alpha = float(np.min(ratios))
+            x[P] = xp + alpha * (z - xp)
+            drop = P[x[P] <= nnls.X_TOL]
+            x[drop] = 0.0
+            passive[drop] = False
+            if not passive.any():
+                z = np.zeros(0)
+                break
+        if stalled:
+            x = x_feasible
+            break
+        x[:] = 0.0
+        if passive.any():
+            x[np.where(passive)[0]] = z
+        w = b - G @ x
+    g = G @ x - b
+    free = x > nnls.X_TOL
+    kkt_residual = max(
+        float(max(0.0, -g.min())) if n else 0.0,
+        float(np.abs(g[free]).max()) if free.any() else 0.0,
+    )
+    residual_sq = yty - 2.0 * x @ b + x @ (G @ x)
+    return nnls.NnlsSolution(
+        x=x, residual_norm=float(np.sqrt(max(0.0, residual_sq))),
+        kkt_residual=kkt_residual, iterations=iterations,
+        converged=kkt_residual <= kkt_tol and not stalled,
+        rank_deficient=rank_deficient)
+
+
+def assert_matches_reference(G, b, **kwargs):
+    """The solver and the reference agree on G, b: same support, iteration
+    count and flags, x within 1e-12, and the same certificate."""
+    assert np.array_equal(G, G.T)
+    got = nnls_from_gram(G, b, **kwargs)
+    want = reference_nnls_from_gram(G, b, **kwargs)
+    assert np.array_equal(got.x > 0, want.x > 0)
+    assert (got.iterations, got.converged, got.rank_deficient) == \
+        (want.iterations, want.converged, want.rank_deficient)
+    assert np.abs(got.x - want.x).max(initial=0.0) <= 1e-12
+    assert got.kkt_residual == want.kkt_residual
+    assert got.residual_norm == want.residual_norm
+    return got
+
+
+class TestMatchesReference:
+    """The passive-row gradient and the direct LAPACK calls give what the
+    full-gradient solver gave."""
+
+    @staticmethod
+    def gram(A):
+        G = A.T @ A
+        return np.triu(G) + np.triu(G, 1).T     # symmetric bit for bit
+
+    def test_diagonal_blocks(self):
+        rng = np.random.default_rng(10)
+        for n in (1, 2, 7, 40):
+            G = np.diag(rng.random(n) + 0.01)
+            for b in (rng.random(n), rng.standard_normal(n), np.zeros(n)):
+                assert_matches_reference(G, b)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(5, 60)), int(rng.integers(2, 40))
+        A = rng.random((m, n))
+        y = rng.random(m) if seed % 2 else rng.standard_normal(m)
+        assert_matches_reference(self.gram(A), A.T @ y, yty=float(y @ y))
+
+    def test_duplicate_columns(self):
+        rng = np.random.default_rng(11)
+        A = rng.random((30, 8))
+        A[:, [5, 6]] = A[:, [1, 2]]
+        y = A @ np.array([0.5, 0.2, 0.0, 0.3, 0.0, 0.4, 0.1, 0.0])
+        assert_matches_reference(self.gram(A), A.T @ y, yty=float(y @ y))
+
+    def test_rank_deficient_blocks(self):
+        rng = np.random.default_rng(12)
+        for m, n in ((3, 8), (5, 20), (1, 4)):
+            A = rng.random((m, n))
+            y = rng.random(m)
+            assert_matches_reference(self.gram(A), A.T @ y, yty=float(y @ y))
+
+    def test_singular_passive_block(self):
+        # G is the Gram of A = [1, -1]; b is not in its range, so column 0
+        # keeps a positive gradient and joins column 1 in a singular block,
+        # which only the least-squares fallback solves
+        A = np.array([[1.0, -1.0]])
+        sol = assert_matches_reference(A.T @ A, np.array([0.1, 1.0]))
+        assert sol.rank_deficient and not sol.converged
+
+    def test_emptied_passive_set(self):
+        # symmetric but indefinite: column 0 enters at x = 5e-11, below
+        # X_TOL; column 1 then solves to a negative value, the step is zero,
+        # and both columns leave the passive set at once
+        G = np.array([[1e3, 100.0], [100.0, 1.0]])
+        b = np.array([5e-8, 3e-8])
+        assert 0 < assert_matches_reference(G, b, max_iter=1).x[0] <= nnls.X_TOL
+        assert not assert_matches_reference(G, b, max_iter=2).x.any()
+        sol = assert_matches_reference(G, b)
+        assert sol.iterations == 3 * 2 + 30 and not sol.converged
+
+    def test_iteration_budget(self):
+        rng = np.random.default_rng(13)
+        A = rng.random((20, 12))
+        y = rng.random(20)
+        for max_iter in (1, 2, 5):
+            assert_matches_reference(self.gram(A), A.T @ y, max_iter=max_iter)
 
 
 def kkt_certificate(G, b, x):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_nnls import assert_matches_reference
 
 from readprofiler.experiments import generate_random_db
 from readprofiler.mixture_sim import empirical_frequencies, sample_power_law_mixture, \
@@ -11,6 +12,7 @@ from readprofiler.reconstruct import (
     DncParams,
     IterationStats,
     ReconstructionReport,
+    _block_gram,
     _empty_report,
     _solve_block,
     _solver_diag,
@@ -296,6 +298,20 @@ class TestDncMatchesPerBlockReference:
         assert divide_and_conquer(A, y, params).to_dict() == want
         A.gram    # a cached A'A is sliced whatever it cost to form
         assert divide_and_conquer(A, y, params).to_dict() == want
+
+    @pytest.mark.parametrize("i", range(60))
+    def test_block_grams_symmetric_and_solved_as_reference(self, i):
+        # the solver reads G's passive rows for its columns, which needs
+        # G == G' bit for bit, from A'A and from a block's own product alike
+        A, y, params = oracle_instance(i)
+        aty = A.matrix.T @ y
+        assert (A.gram != A.gram.T).nnz == 0
+        for cols in partition_species(np.arange(A.n_species), params.block_size,
+                                      params.seed, 1, 0):
+            for gram in (A.gram, None):
+                G = _block_gram(A, gram, cols)
+                assert (G != G.T).nnz == 0
+            assert_matches_reference(G.toarray(), aty[cols], kkt_tol=params.kkt_tol)
 
     def test_costly_gram_left_unformed(self):
         # family species share rows, so DnC forms per-block products and
