@@ -14,6 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .identifiability import component_blocks, split_components
+from .nnls import euclidean_norm
 from .read_matrix import FrequencyVector, ReadSamplingMatrix
 
 LAMBDA_TOL = 1e-12
@@ -30,7 +31,7 @@ def l2_metric(x, x_hat) -> float:
     a, b = _values(x), _values(x_hat)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return euclidean_norm(a - b)
 
 
 def mahalanobis_metric(x, x_hat, A: ReadSamplingMatrix) -> float:
@@ -42,7 +43,7 @@ def mahalanobis_metric(x, x_hat, A: ReadSamplingMatrix) -> float:
         raise ValueError("dimension mismatch with the read-sampling matrix")
     d = a - b
     cols = np.flatnonzero(d)
-    return float(np.linalg.norm(A.matrix[:, cols] @ d[cols]))
+    return euclidean_norm(A.matrix[:, cols] @ d[cols])
 
 
 def mahalanobis_error_bound(n_reads: int, delta: float) -> float:

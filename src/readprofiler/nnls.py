@@ -7,6 +7,7 @@ number of matrix rows. Intended for block sizes up to a few thousand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,11 +146,21 @@ def nnls_from_gram(G, b, yty: float = 0.0, kkt_tol: float = DEFAULT_KKT_TOL,
     )
 
 
+def euclidean_norm(v: np.ndarray) -> float:
+    """||v||_2 of a 1-D float array, summed by one ``einsum``.
+
+    ``np.linalg.norm`` sums with BLAS ``ddot``, which OpenBLAS splits across
+    its threads on long vectors, so its last bits depend on the thread count;
+    ``einsum`` sums in one thread whatever that count is.
+    """
+    return math.sqrt(np.einsum("i,i->", v, v))
+
+
 def residual_norm(A, x, y) -> float:
     """||Ax - y||_2 from the residual vector, for a dense or sparse ``A``."""
     r = np.asarray(A @ x, dtype=float).ravel()
     r -= y
-    return float(np.linalg.norm(r))
+    return euclidean_norm(r)
 
 
 def nnls_solve(A_sub, y, kkt_tol: float = DEFAULT_KKT_TOL,

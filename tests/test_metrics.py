@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from readprofiler.metrics import (
 )
 from readprofiler.mixture_sim import empirical_frequencies, sample_power_law_mixture, \
     simulate_reads
-from readprofiler.nnls import nnls_solve
+from readprofiler.nnls import euclidean_norm, nnls_solve, residual_norm
 from readprofiler.read_matrix import FrequencyVector, build_matrix, reweight_to_dna
 from readprofiler.sequence_db import SequenceDatabase
 
@@ -101,7 +105,7 @@ def reference_mahalanobis_metric(x, x_hat, A):
     """The metric before it skipped the columns where x and x_hat agree:
     the product over all N columns."""
     d = np.asarray(x, dtype=float) - np.asarray(x_hat, dtype=float)
-    return float(np.linalg.norm(A.matrix @ d))
+    return euclidean_norm(A.matrix @ d)
 
 
 class TestMahalanobisMatchesReference:
@@ -311,3 +315,23 @@ class TestEvaluate:
         result = evaluate(x, x, A, n_reads=100)
         assert result.l2_bound == math.inf
         assert result.to_dict()["l2_bound"] == "inf"
+
+
+def long_vector_norms() -> list[str]:
+    """Residual norm, both metrics on a K = 802,000-row matrix, as hex: long
+    enough that OpenBLAS splits a BLAS dot product across threads."""
+    A = build_matrix(generate_random_db(2000, 500, seed=40), 100)
+    rng = np.random.default_rng(41)
+    x, x_hat = rng.random(A.n_species), rng.random(A.n_species)
+    y = rng.random(A.n_rows)
+    return [v.hex() for v in (residual_norm(A.matrix, x, y),
+                              mahalanobis_metric(x, x_hat, A), l2_metric(y, 0 * y))]
+
+
+def test_norms_do_not_depend_on_blas_threads():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_metrics import long_vector_norms; print(long_vector_norms())")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    one_thread = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                                env=env, capture_output=True, text=True, check=True)
+    assert one_thread.stdout.strip() == str(long_vector_norms())
