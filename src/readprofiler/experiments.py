@@ -82,8 +82,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.db_fasta is None and self.random_db is None:
             raise ValueError("config needs either db_fasta or random_db")
+        require_fields(vars(self), "config", read_length=int, k=int, alpha=float,
+                       seed=int, trials=int, delta=float)
+        if self.db_fasta is not None:
+            require_fields(vars(self), "config", db_fasta=str)
         if self.random_db is not None:
             require_fields(self.random_db, "random_db", n=int, length=int)
+            if "seed" in self.random_db:
+                require_fields(self.random_db, "random_db", seed=int)
         if list(self.r_grid) != sorted(set(self.r_grid)) or any(r < 1 for r in self.r_grid):
             raise ValueError("r_grid must be strictly increasing and positive")
         if self.trials < 1:

@@ -157,7 +157,11 @@ class ReadCounts:
         lines = Path(path).read_text().splitlines()
         if not lines or not lines[0].startswith("#"):
             raise ValueError(f"{path}: missing JSON header line")
-        header = require_fields(json.loads(lines[0][1:]), path, read_length=int, total=int)
+        try:
+            header = json.loads(lines[0][1:])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line 1: {exc}") from None
+        require_fields(header, path, read_length=int, total=int)
         L = header["read_length"]
         try:
             check_read_length(L)

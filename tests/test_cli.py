@@ -286,6 +286,15 @@ class TestErrorHandling:
             capsys.readouterr().err
         assert not (tmp_path / "est.json").exists()
 
+    def test_counts_header_not_json_exits_2(self, pipeline_dir, tmp_path, capsys):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text('#{"read_length": 8, "total": 1\nACGTACGT\t1\n')
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(counts), "--out", str(tmp_path / "est.json")) == 2
+        err = capsys.readouterr().err
+        assert f"{counts}: line 1: Expecting ',' delimiter" in err and "Traceback" not in err
+        assert not (tmp_path / "est.json").exists()
+
     def test_bad_experiment_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"random_db": {"n": 5, "length": 20},
@@ -300,7 +309,16 @@ class TestErrorHandling:
         ({"random_db": [5, 20]}, "random_db: expected a JSON object, got list"),
         ([1, 2], "{cfg}: expected a JSON object, got list"),
         ("not json", "{cfg}: Expecting value"),
-    ], ids=["no_n", "no_length", "string_length", "list_random_db", "list", "not_json"])
+        ({"random_db": {"n": 5, "length": 20}, "read_length": "x"},
+         "config: field 'read_length' must be int, got str"),
+        ({"random_db": {"n": 5, "length": 20, "seed": "x"}},
+         "random_db: field 'seed' must be int, got str"),
+        ({"random_db": {"n": 5, "length": 20}, "k": 2.5}, "config: field 'k' must be int"),
+        ({"random_db": {"n": 5, "length": 20}, "alpha": "1"},
+         "config: field 'alpha' must be float, got str"),
+        ({"db_fasta": 5}, "config: field 'db_fasta' must be str, got int"),
+    ], ids=["no_n", "no_length", "string_length", "list_random_db", "list", "not_json",
+            "string_read_length", "string_db_seed", "float_k", "string_alpha", "int_db_fasta"])
     def test_malformed_experiment_config_exits_2(self, tmp_path, capsys, config, why):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
