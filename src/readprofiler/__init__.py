@@ -5,7 +5,6 @@ from .identifiability import (
     IdentifiabilityReport,
     analyze,
     critical_read_length_scan,
-    decompose_components,
     is_identifiable,
     partially_identifiable,
 )
@@ -31,7 +30,7 @@ from .mixture_sim import (
     sample_power_law_mixture,
     simulate_reads,
 )
-from .nnls import NnlsSolution, nnls_from_gram, nnls_solve, normalize_simplex
+from .nnls import NnlsSolution, nnls_from_gram, nnls_solve
 from .read_matrix import (
     FrequencyVector,
     ReadSamplingMatrix,

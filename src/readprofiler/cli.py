@@ -14,8 +14,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics
 from .experiments import ExperimentConfig, generate_random_db, run_error_vs_reads, \
     run_identifiability_scan
@@ -31,7 +29,10 @@ logger = logging.getLogger(__name__)
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, e.g. 2:10, got {text!r}") from None
 
 
 def cmd_random_db(args) -> int:
@@ -68,8 +69,7 @@ def cmd_identifiability(args) -> int:
     db = parse_fasta(args.db, drop_ambiguous=True)
     out = {}
     if args.l_range:
-        lo, hi = _parse_range(args.l_range)
-        scan = critical_read_length_scan(db, lo, hi)
+        scan = critical_read_length_scan(db, *args.l_range)
         out["scan"] = scan.to_dict()
     if args.at_l:
         report = analyze(build_matrix(db, args.at_l))
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identifiability", help="identifiability diagnostics")
     p.add_argument("--db", required=True)
-    p.add_argument("--L-range", dest="l_range", help="e.g. 2:10")
+    p.add_argument("--L-range", dest="l_range", type=_parse_range, help="e.g. 2:10")
     p.add_argument("--at-L", dest="at_l", type=int,
                    help="also emit per-species flags at this read length")
     p.add_argument("--out", required=True)

@@ -36,6 +36,10 @@ TRIAL_FIELDS = [
     "support_size", "unmapped_fraction",
 ]
 
+#: the type of each scalar DncParams field that a config's "dnc" object may set
+DNC_FIELDS = {"block_size": int, "tau": float, "k_final": int, "seed": int,
+              "kkt_tol": float, "max_iterations": int}
+
 
 def generate_random_db(n: int, length: int, seed: int) -> SequenceDatabase:
     """N distinct sequences of i.i.d. uniform bases; collisions resampled."""
@@ -74,7 +78,7 @@ class ExperimentConfig:
     trials: int = 20
     delta: float = 0.5
     seed: int = 0
-    l_range: tuple[int, int] = (2, 10)
+    l_range: list[int] = field(default_factory=lambda: [2, 10])
     dnc: dict = field(default_factory=dict)  # DncParams overrides
     output_dir: str = "out"
     workers: int | None = None
@@ -82,15 +86,25 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.db_fasta is None and self.random_db is None:
             raise ValueError("config needs either db_fasta or random_db")
+        if isinstance(self.l_range, tuple):     # as code may pass it; JSON gives a list
+            self.l_range = list(self.l_range)
         require_fields(vars(self), "config", read_length=int, k=int, alpha=float,
-                       seed=int, trials=int, delta=float)
+                       seed=int, trials=int, delta=float, r_grid=list[int],
+                       l_range=list[int], dnc=dict)
+        if len(self.l_range) != 2:
+            raise ValueError(f"config: field 'l_range' must hold 2 ints, "
+                             f"got {len(self.l_range)}")
+        require_fields(self.dnc, "dnc", **{name: kind for name, kind in DNC_FIELDS.items()
+                                           if name in self.dnc})
+        if self.dnc.get("schedule") is not None:    # null keeps the default schedule
+            require_fields(self.dnc, "dnc", schedule=list[int])
         if self.db_fasta is not None:
             require_fields(vars(self), "config", db_fasta=str)
         if self.random_db is not None:
             require_fields(self.random_db, "random_db", n=int, length=int)
             if "seed" in self.random_db:
                 require_fields(self.random_db, "random_db", seed=int)
-        if list(self.r_grid) != sorted(set(self.r_grid)) or any(r < 1 for r in self.r_grid):
+        if self.r_grid != sorted(set(self.r_grid)) or any(r < 1 for r in self.r_grid):
             raise ValueError("r_grid must be strictly increasing and positive")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -102,8 +116,6 @@ class ExperimentConfig:
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
         data = read_json(path)
         data.update({k: v for k, v in overrides.items() if v is not None})
-        if "l_range" in data:
-            data["l_range"] = tuple(data["l_range"])
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -112,7 +124,6 @@ class ExperimentConfig:
         # experiment produces byte-identical artifacts wherever and however
         # parallel it runs
         d = dict(vars(self))
-        d["l_range"] = list(self.l_range)
         del d["output_dir"]
         del d["workers"]
         return d

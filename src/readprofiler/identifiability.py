@@ -48,17 +48,6 @@ class IdentifiabilityReport:
             raise ValueError("identifiable flag inconsistent with rank")
 
 
-def decompose_components(A: ReadSamplingMatrix) -> list[np.ndarray]:
-    """Disjoint column groups: connected components of the bipartite
-    row/column graph induced by the nonzero pattern, read from the pattern of
-    the cached Gram ``A.gram`` (two columns share a row exactly when their
-    Gram entry is nonzero). Group c holds the columns labelled c, ascending;
-    one stable sort of the labels, split at their counts, builds them all."""
-    _, labels = connected_components(A.gram, directed=False)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
-
-
 def split_components(gram: sp.spmatrix) -> tuple[np.ndarray, list[np.ndarray]]:
     """The connected components of a sparse Gram's graph (columns that share
     a row of A are joined): the singleton columns, and the multi-column groups

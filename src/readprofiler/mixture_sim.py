@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .read_matrix import FrequencyVector, ReadSamplingMatrix, reweight_to_dna
+from .read_matrix import SIMPLEX_TOL, FrequencyVector, ReadSamplingMatrix, reweight_to_dna
 from .sequence_db import (
     ALPHABET,
     KmerIndex,
@@ -60,7 +60,7 @@ class MixtureSpec:
             raise ValueError("support ids must be distinct")
         if len(self.support) != len(self.frequencies):
             raise ValueError("support and frequencies differ in length")
-        if np.any(self.frequencies < 0) or abs(self.frequencies.sum() - 1.0) > 1e-12:
+        if np.any(self.frequencies < 0) or abs(self.frequencies.sum() - 1.0) > SIMPLEX_TOL:
             raise ValueError("frequencies must be nonnegative and sum to 1")
 
     def full_vector(self, n_species: int) -> FrequencyVector:
@@ -125,9 +125,9 @@ class ReadCounts:
             raise ValueError(f"keys of shape {self.keys.shape} do not fit {len(self.counts)} "
                              f"counts of length-{self.read_length} k-mers")
         if self.total < 1:
-            raise ValueError("total read count must be >= 1")
+            raise ValueError(f"total read count {self.total} is below 1")
         if int(self.counts.sum()) != self.total:
-            raise ValueError("counts do not sum to total")
+            raise ValueError(f"counts sum to {self.counts.sum()}, not to the total {self.total}")
         if (self.counts <= 0).any():
             raise ValueError("all stored counts must be positive")
 
@@ -203,7 +203,10 @@ class ReadCounts:
             i = repeat[0]
             raise ValueError(f"{path}: line {numbers[i]}: k-mer {kmers[i]!r} repeats "
                              f"line {numbers[rows[i]]}")
-        return cls(keys, counts, L, header["total"], header.get("seed"))
+        try:
+            return cls(keys, counts, L, header["total"], header.get("seed"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_lines(data: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:

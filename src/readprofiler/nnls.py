@@ -14,25 +14,18 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .read_matrix import FrequencyVector
-
 DEFAULT_KKT_TOL = 1e-8
 X_TOL = 1e-10
 
 
 @dataclass
 class NnlsSolution:
-    """Result of an NNLS solve.
-
-    ``residual_norm`` is ||Ax - y||_2. ``nnls_solve`` computes it from the
-    residual vector Ax - y, so it is accurate to rounding in A and y.
-    ``nnls_from_gram`` has no A and expands it as sqrt(y'y - 2x'b + x'Gx);
-    for a near-exact fit those terms cancel and the reported value has an
-    absolute error of about sqrt(eps * y'y).
-    """
+    """Result of an NNLS solve. ``residual_norm`` is ||Ax - y||_2, computed
+    from A by :func:`residual_norm`; it is None when the solve saw only the
+    Gram system (:func:`nnls_from_gram`)."""
 
     x: np.ndarray
-    residual_norm: float
+    residual_norm: float | None
     kkt_residual: float
     iterations: int
     converged: bool
@@ -56,20 +49,16 @@ def _solve_passive(G: np.ndarray, b: np.ndarray, P: np.ndarray):
     return z, rank < len(bp)
 
 
-def nnls_from_gram(G, b, yty: float = 0.0, kkt_tol: float = DEFAULT_KKT_TOL,
+def nnls_from_gram(G, b, kkt_tol: float = DEFAULT_KKT_TOL,
                    max_iter: int | None = None) -> NnlsSolution:
-    """Solve min ||Ax - y||_2 s.t. x >= 0 given G = A'A, b = A'y, yty = y'y.
+    """Solve min ||Ax - y||_2 s.t. x >= 0 given G = A'A and b = A'y.
 
     G must be symmetric bit for bit, as A'A is: entry (i, j) sums the same
     products in the same order as entry (j, i). Each step then takes the
     gradient from the passive rows of G, so it costs the passive set times
-    n rather than n squared.
-
-    The reported ``residual_norm`` comes from the Gram expansion
-    sqrt(y'y - 2x'b + x'Gx), whose terms cancel when the fit is near-exact:
-    its absolute error is about sqrt(eps * y'y), so it cannot resolve
-    residuals below that floor. Callers who hold A get the exact value from
-    ``nnls_solve`` (or ``residual_norm``).
+    n rather than n squared. ``max_iter`` defaults to ``20 * n + 200``
+    outer iterations. Without A there is no residual: ``residual_norm`` is
+    None, and callers who hold A get it from :func:`residual_norm`.
     """
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -77,7 +66,7 @@ def nnls_from_gram(G, b, yty: float = 0.0, kkt_tol: float = DEFAULT_KKT_TOL,
     if G.shape != (n, n):
         raise ValueError(f"Gram matrix shape {G.shape} does not match b length {n}")
     if max_iter is None:
-        max_iter = 3 * n + 30
+        max_iter = 20 * n + 200
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -128,17 +117,15 @@ def nnls_from_gram(G, b, yty: float = 0.0, kkt_tol: float = DEFAULT_KKT_TOL,
         # with the zero terms of x left out
         w = b - z @ G[P]
 
-    Gx = G @ x
-    g = Gx - b
+    g = G @ x - b
     free = x > X_TOL
     kkt_residual = max(
         float(max(0.0, -g.min())) if n else 0.0,
         float(np.abs(g[free]).max()) if free.any() else 0.0,
     )
-    residual_sq = yty - 2.0 * x @ b + x @ Gx
     return NnlsSolution(
         x=x,
-        residual_norm=float(np.sqrt(max(0.0, residual_sq))),
+        residual_norm=None,
         kkt_residual=kkt_residual,
         iterations=iterations,
         converged=kkt_residual <= kkt_tol and not stalled,
@@ -168,8 +155,7 @@ def nnls_solve(A_sub, y, kkt_tol: float = DEFAULT_KKT_TOL,
     """Solve min ||A_sub x - y||_2 s.t. x >= 0.
 
     Accepts a dense array or any scipy sparse matrix for ``A_sub``. The
-    solve runs on the Gram system; the reported ``residual_norm`` is then
-    recomputed from ``A_sub`` itself, free of the Gram expansion's floor.
+    solve runs on the Gram system; ``residual_norm`` comes from ``A_sub``.
     """
     y = np.asarray(y, dtype=float).ravel()
     if A_sub.shape[0] != len(y):
@@ -183,12 +169,7 @@ def nnls_solve(A_sub, y, kkt_tol: float = DEFAULT_KKT_TOL,
         A_sub = np.asarray(A_sub, dtype=float)
         G = A_sub.T @ A_sub
         b = A_sub.T @ y
-    sol = nnls_from_gram(G, b, yty=float(y @ y), kkt_tol=kkt_tol, max_iter=max_iter)
+    sol = nnls_from_gram(G, b, kkt_tol=kkt_tol, max_iter=max_iter)
     sol.residual_norm = residual_norm(A_sub, sol.x, y)
     return sol
 
-
-def normalize_simplex(x) -> FrequencyVector:
-    """Scale a nonnegative vector to sum to one, as species frequencies
-    (:meth:`FrequencyVector.normalize`)."""
-    return FrequencyVector(x, "species").normalize()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +45,7 @@ class DncParams:
             raise ValueError("schedule repetitions must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "block_size": self.block_size, "tau": self.tau, "k_final": self.k_final,
-            "seed": self.seed, "kkt_tol": self.kkt_tol, "schedule": self.schedule,
-            "max_iterations": self.max_iterations,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -130,16 +126,6 @@ def partition_species(ids, block_size: int, seed: int, iteration: int,
     return [perm[i:i + block_size] for i in range(0, len(perm), block_size)]
 
 
-def _solve_block(G, b, params: DncParams) -> NnlsSolution:
-    # y'y is left at 0: it only enters the block residual_norm, which is unused
-    sol = nnls_from_gram(G, b, kkt_tol=params.kkt_tol)
-    if not sol.converged:
-        # one retry with a larger iteration budget before passing through
-        sol = nnls_from_gram(G, b, kkt_tol=params.kkt_tol,
-                             max_iter=20 * len(b) + 200)
-    return sol
-
-
 def _block_gram(A: ReadSamplingMatrix, gram, cols):
     """Sparse Gram of A's ``cols`` columns, for the block's solve and its
     screen: a slice of ``gram`` (A'A) when there is one, else the product of
@@ -193,7 +179,7 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
             for pos in positions:
                 cols = active[pos]
                 Gs = _block_gram(A, gram, cols)
-                sol = _solve_block(Gs.toarray(), aty[cols], params)
+                sol = nnls_from_gram(Gs.toarray(), aty[cols], kkt_tol=params.kkt_tol)
                 blocks_solved += 1
                 if not sol.converged:
                     unconverged += 1
@@ -220,7 +206,7 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
 
     # final solve on the surviving columns against the full objective
     G = _block_gram(A, gram, active).toarray()
-    sol = nnls_from_gram(G, aty[active], yty=float(y @ y), kkt_tol=params.kkt_tol)
+    sol = nnls_from_gram(G, aty[active], kkt_tol=params.kkt_tol)
     sol.residual_norm = residual_norm(A.matrix[:, active], sol.x, y)
     if sol.x.sum() <= 0:
         logger.warning("final solve returned an all-zero vector")

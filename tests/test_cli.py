@@ -317,8 +317,28 @@ class TestErrorHandling:
         ({"random_db": {"n": 5, "length": 20}, "alpha": "1"},
          "config: field 'alpha' must be float, got str"),
         ({"db_fasta": 5}, "config: field 'db_fasta' must be str, got int"),
+        ({"random_db": {"n": 5, "length": 20}, "r_grid": ["x"]},
+         "config: field 'r_grid' must hold int values, got str"),
+        ({"random_db": {"n": 5, "length": 20}, "r_grid": 100},
+         "config: field 'r_grid' must be list, got int"),
+        ({"random_db": {"n": 5, "length": 20}, "dnc": [1]},
+         "config: field 'dnc' must be dict, got list"),
+        ({"random_db": {"n": 5, "length": 20}, "dnc": {"block_size": "x"}},
+         "dnc: field 'block_size' must be int, got str"),
+        ({"random_db": {"n": 5, "length": 20}, "dnc": {"tau": None}},
+         "dnc: field 'tau' must be float, got NoneType"),
+        ({"random_db": {"n": 5, "length": 20}, "dnc": {"schedule": [1, 2.5]}},
+         "dnc: field 'schedule' must hold int values, got float"),
+        ({"random_db": {"n": 5, "length": 20}, "l_range": [2]},
+         "config: field 'l_range' must hold 2 ints, got 1"),
+        ({"random_db": {"n": 5, "length": 20}, "l_range": [2, "9"]},
+         "config: field 'l_range' must hold int values, got str"),
+        ({"random_db": {"n": 5, "length": 20}, "l_range": 2},
+         "config: field 'l_range' must be list, got int"),
     ], ids=["no_n", "no_length", "string_length", "list_random_db", "list", "not_json",
-            "string_read_length", "string_db_seed", "float_k", "string_alpha", "int_db_fasta"])
+            "string_read_length", "string_db_seed", "float_k", "string_alpha", "int_db_fasta",
+            "string_r_grid", "int_r_grid", "list_dnc", "string_block_size", "null_tau",
+            "float_schedule", "short_l_range", "string_l_range", "int_l_range"])
     def test_malformed_experiment_config_exits_2(self, tmp_path, capsys, config, why):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
@@ -327,6 +347,31 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert f"invalid config: {why.format(cfg=cfg)}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["2", "2:x", "2:5:7", ""])
+    def test_bad_l_range_flag_exits_2_naming_it(self, pipeline_dir, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run("identifiability", "--db", str(pipeline_dir / "db.fasta"),
+                "--L-range", value, "--out", str(pipeline_dir / "x.json"))
+        assert exc.value.code == 2
+        assert f"argument --L-range: expected LO:HI, e.g. 2:10, got {value!r}" in \
+            capsys.readouterr().err
+        assert not (pipeline_dir / "x.json").exists()
+
+    @pytest.mark.parametrize("total,why", [
+        (5, "counts sum to 3, not to the total 5"),
+        (0, "total read count 0 is below 1"),
+    ], ids=["sum_differs", "total_below_1"])
+    def test_counts_total_mismatch_exits_2_naming_file(self, pipeline_dir, tmp_path, capsys,
+                                                       total, why):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("#" + json.dumps({"read_length": 8, "total": total})
+                          + "\nACGTACGT\t1\nCCGTACGT\t2\n")
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(counts), "--out", str(tmp_path / "est.json")) == 2
+        err = capsys.readouterr().err
+        assert f"error: {counts}: {why}" in err and "Traceback" not in err
+        assert not (tmp_path / "est.json").exists()
 
     def test_evaluate_truth_not_json_exits_2(self, pipeline_dir, tmp_path, capsys):
         est, truth = tmp_path / "est.json", tmp_path / "truth.json"
@@ -405,6 +450,12 @@ class TestExperimentCommands:
         data = json.loads((out / "scan.json").read_text())
         assert len(data["rows"]) == 5
         assert data["critical_length_db"] is not None
+
+    def test_null_schedule_accepted(self, tmp_path):
+        # a saved report's params hold "schedule": null, the default
+        cfg = self._write_cfg(tmp_path, dnc={"block_size": 8, "schedule": None})
+        assert run("experiment", "error-vs-reads", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")) == 0
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

@@ -14,7 +14,6 @@ from readprofiler.identifiability import (
     analyze,
     critical_read_length_scan,
     component_flags,
-    decompose_components,
     find_substring_pairs,
     is_identifiable,
     null_space_flags_from_gram,
@@ -27,6 +26,20 @@ from readprofiler.sequence_db import KmerIndex, SequenceDatabase
 
 def db_of(*seqs):
     return SequenceDatabase.from_sequences(list(seqs))
+
+
+def decompose_components(A: ReadSamplingMatrix) -> list[np.ndarray]:
+    """Every connected component of A's Gram graph as one ascending column
+    group, singletons included, in label order: the grouping that
+    ``split_components`` splits into singletons and multi-column groups."""
+    _, labels = connected_components(A.gram, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+
+
+def component_sizes(A: ReadSamplingMatrix) -> list[int]:
+    singles, multi = split_components(A.gram)
+    return [1] * len(singles) + [len(cols) for cols in multi]
 
 
 def full_svd_reference(dense, tol=1e-10, flag_tol=1e-8):
@@ -118,13 +131,14 @@ class TestComponents:
     def test_disjoint_databases_split(self):
         # first two share only AT/TA windows; third uses G/C only
         A = build_matrix(db_of("ATAT", "TATA", "GCGC", "CGCG"), 2)
-        groups = decompose_components(A)
-        as_sets = {frozenset(g.tolist()) for g in groups}
-        assert as_sets == {frozenset({0, 1}), frozenset({2, 3})}
+        singles, multi = split_components(A.gram)
+        assert len(singles) == 0
+        assert {frozenset(g.tolist()) for g in multi} == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_full_sharing_single_component(self):
         A = build_matrix(db_of("ACGT", "CGTA", "GTAC"), 2)
-        assert len(decompose_components(A)) == 1
+        singles, multi = split_components(A.gram)
+        assert len(singles) == 0 and len(multi) == 1
 
     def test_component_flags_match_whole_matrix_oracle(self):
         rng = np.random.default_rng(1)
@@ -160,7 +174,7 @@ class TestComponents:
         mixed = 0
         for db, read_len in ((db, L) for db in dbs for L in (2, 3)):
             A = build_matrix(db, read_len)
-            largest = max(len(cols) for cols in decompose_components(A))
+            largest = max(component_sizes(A))
             monkeypatch.setattr(identifiability, "GRAM_CAP", largest)
             report = analyze(A)
             ref_flags, ref_rank = dense_flags_oracle(A)
@@ -176,7 +190,7 @@ class TestComponents:
 
     def test_component_over_gram_cap_rejected(self, monkeypatch):
         A = build_matrix(db_of("AACA", "ACAA", "CAAC", "GGTT", "TTTT", "CGCG"), 2)
-        sizes = [len(cols) for cols in decompose_components(A)]
+        sizes = component_sizes(A)
         largest = max(sizes)
         assert 1 < largest < A.n_species and sizes.count(1) >= 1
         monkeypatch.setattr(identifiability, "GRAM_CAP", largest)
@@ -271,14 +285,17 @@ class TestComponentsFromGram:
         split = 0
         for db, read_len in cases:
             A = build_matrix(db, read_len)
-            groups = decompose_components(A)
+            singles, multi = split_components(A.gram)
             expected = self.pattern_components(A)
-            assert len(groups) == len(expected)
-            for got, want in zip(groups, expected):
-                np.testing.assert_array_equal(got, want)
-            split += 1 < len(groups) < A.n_species
+            np.testing.assert_array_equal(
+                singles, sorted(cols[0] for cols in expected if len(cols) == 1))
+            want = [cols for cols in expected if len(cols) > 1]
+            assert len(multi) == len(want)
+            for got, cols in zip(multi, want):
+                np.testing.assert_array_equal(got, cols)
+            split += 1 < len(expected) < A.n_species
         assert split >= 5
-        assert len(decompose_components(build_matrix(singletons, 20))) == len(singletons)
+        assert len(split_components(build_matrix(singletons, 20).gram)[0]) == len(singletons)
 
 
 def block_grams(rng, trials):

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from test_identifiability import component_sizes
 
 from readprofiler import identifiability
 from readprofiler.experiments import generate_random_db
-from readprofiler.identifiability import decompose_components
+from readprofiler.identifiability import split_components
 from readprofiler.metrics import (
     evaluate,
     gram_lambda_min,
@@ -186,8 +187,9 @@ class TestLambdaMin:
 def lambda_min_per_component_reference(A):
     """The per-component loop gram_lambda_min ran before it formed A'A once:
     a column slice and a sparse product per component, then a dense eigvalsh."""
+    singles, multi = split_components(A.gram)
     lam = math.inf
-    for cols in decompose_components(A):
+    for cols in [singles[i:i + 1] for i in range(len(singles))] + multi:
         sub = A.matrix[:, cols]
         gram = np.asarray((sub.T @ sub).todense())
         evals = scipy.linalg.eigvalsh(gram)
@@ -244,7 +246,7 @@ class TestLambdaMinOracle:
         count = 0
         for kind, db, L in lambda_oracle_instances():
             A = build_matrix(db, L)
-            sizes = [len(cols) for cols in decompose_components(A)]
+            sizes = component_sizes(A)
             ref = lambda_min_per_component_reference(A)
             assert gram_lambda_min(A) == ref, (kind, count)
             count += 1
@@ -264,7 +266,7 @@ class TestLambdaMinOracle:
     def test_cap_applies_to_largest_multi_column_component(self, monkeypatch):
         db = db_of("AACA", "ACAA", "CAAC", "GGTT", "TTTT", "CGCG")
         A = build_matrix(db, 2)
-        sizes = [len(cols) for cols in decompose_components(A)]
+        sizes = component_sizes(A)
         largest = max(sizes)
         assert 1 < largest < A.n_species and sizes.count(1) >= 1
         ref = lambda_min_per_component_reference(A)

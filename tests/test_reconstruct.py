@@ -14,7 +14,6 @@ from readprofiler.reconstruct import (
     ReconstructionReport,
     _block_gram,
     _empty_report,
-    _solve_block,
     _solver_diag,
     default_repetitions,
     divide_and_conquer,
@@ -188,10 +187,20 @@ class TestDivideAndConquer:
         assert report.iterations[-1].survivor_count >= 3
 
 
+def reference_solve(G, b, kkt_tol, retry):
+    """The solves DnC ran before they had one budget: ``3 * n + 30``
+    iterations, then, for a block (``retry``) that did not converge, a
+    second run from x = 0 with ``20 * n + 200``."""
+    sol = nnls_from_gram(G, b, kkt_tol=kkt_tol, max_iter=3 * len(b) + 30)
+    if retry and not sol.converged:
+        sol = nnls_from_gram(G, b, kkt_tol=kkt_tol, max_iter=20 * len(b) + 200)
+    return sol
+
+
 def reference_dnc(A, y, params):
     """The per-block loop DnC ran before block Grams were sliced from
     ``A.gram``: every block slices all K rows of A, forms sub'sub and sub'y,
-    and screens G whatever its pattern."""
+    screens G whatever its pattern, and solves by :func:`reference_solve`."""
     y = np.asarray(y, dtype=float).ravel()
     m = A.matrix
     n = A.n_species
@@ -213,7 +222,7 @@ def reference_dnc(A, y, params):
                 sub = m[:, cols]
                 G = np.asarray((sub.T @ sub).todense())
                 b = np.asarray(sub.T @ y).ravel()
-                sol = _solve_block(G, b, params)
+                sol = reference_solve(G, b, params.kkt_tol, retry=True)
                 blocks_solved += 1
                 unconverged += not sol.converged
                 local = sol.x >= params.tau
@@ -234,7 +243,7 @@ def reference_dnc(A, y, params):
     sub = m[:, active]
     G = np.asarray((sub.T @ sub).todense())
     b = np.asarray(sub.T @ y).ravel()
-    sol = nnls_from_gram(G, b, yty=float(y @ y), kkt_tol=params.kkt_tol)
+    sol = reference_solve(G, b, params.kkt_tol, retry=False)
     sol.residual_norm = residual_norm(sub, sol.x, y)
     if sol.x.sum() <= 0:
         return _empty_report(A, iterations, params, final=sol)
