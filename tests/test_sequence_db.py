@@ -178,6 +178,23 @@ class TestDecimalCodes:
             assert blob == decimal_reference(keys)
             np.testing.assert_array_equal(decimal_to_keys(blob, L), keys)
 
+    def test_short_codes_across_byte_blocks(self):
+        # codes of one or two digits: a block of line ends holds more rows
+        # than one chunk, and blocks end inside lines
+        block = sequence_db._DECIMAL_CHUNK * (len(str(4 ** 3)) + 1)
+        draw = random.Random(3)
+        codes = [draw.randint(1, 64) for _ in range(3 * sequence_db._DECIMAL_CHUNK + 7)]
+        blob = "\n".join(map(str, codes)).encode()
+        assert len(blob) > 2 * block
+        np.testing.assert_array_equal(decimal_to_keys(blob, 3), codes_to_keys(codes, 3))
+        last = len(codes) - 1
+        for bad, why in ((b"065", "leading zero"), (b"", "is empty"), (b"6x", "decimal digit"),
+                         (b"65", "outside"), (b"1" * (block + 5), "outside")):
+            with pytest.raises(ValueError, match=f"row code {last} .*{why}"):
+                decimal_to_keys(blob[:blob.rindex(b"\n") + 1] + bad, 3)
+        with pytest.raises(ValueError, match="row code 0 .*outside"):
+            decimal_to_keys(b"1" * (2 * block) + b"\n" + blob, 3)
+
     def test_empty(self):
         assert keys_to_decimal(np.zeros((0, 2), dtype=np.uint64), 40) == []
         assert decimal_to_keys(b"", 40).shape == (0, 2)
@@ -423,6 +440,83 @@ class TestFingerprint:
     def test_one_word_keys_never_collide(self):
         keys = np.arange(1 << 16, dtype=np.uint64).reshape(-1, 1) << np.uint64(48)
         assert len(np.unique(sequence_db._fingerprint(keys))) == len(keys)
+
+
+def reference_first_seen(keys):
+    """KmerIndex.first_seen as it was before its linear ranking: a second
+    argsort ranks the groups, and any fingerprint shared by two different
+    keys sends every key to a lexsort."""
+    fp = sequence_db._fingerprint(keys)
+    order = np.argsort(fp)
+    sorted_fp = fp[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(sorted_fp[1:], sorted_fp[:-1], out=new[1:])
+    tie = np.flatnonzero(~new[1:])
+    shared = (keys[order[tie]] != keys[order[tie + 1]]).any()
+    if shared:
+        order = np.lexsort(keys.T[::-1])
+        grouped = keys[order]
+        new[1:] = (grouped[1:] != grouped[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts)
+    group_row = np.empty(len(starts), dtype=np.int64)
+    group_row[np.argsort(first)] = np.arange(len(starts))
+    rows = np.empty(len(keys), dtype=np.int64)
+    rows[order] = group_row[np.cumsum(new) - 1]
+    distinct = keys if len(starts) == len(keys) else keys[np.sort(first)]
+    if shared:
+        return KmerIndex(distinct), rows
+    index = KmerIndex.__new__(KmerIndex)
+    index._adopt(distinct, sorted_fp[starts], group_row)
+    return index, rows
+
+
+def first_seen_cases():
+    """pytest params of keys: no key, one key, distinct keys and keys with
+    repeats, of one and of five words."""
+    rng = np.random.default_rng(18)
+    for n_words in (1, 5):
+        distinct = np.unique(rng.integers(0, 1 << 62, (3000, n_words)), axis=0)
+        cases = {"none": np.zeros((0, n_words), dtype=np.int64),
+                 "one": distinct[:1],
+                 "distinct": rng.permutation(distinct),
+                 # small words: many repeats, and keys that differ in one word
+                 "small": rng.integers(0, 20, (3000, n_words))}
+        for pool in (3, 40, 2000):
+            cases[f"repeats{pool}"] = distinct[rng.integers(0, pool, 3000)]
+        for name, keys in cases.items():
+            yield pytest.param(keys.astype(np.uint64), id=f"{name}-{n_words}")
+
+
+class TestFirstSeenOracle:
+    """KmerIndex.first_seen against its former implementation, array for
+    array, and against a dict of the keys seen so far."""
+
+    @staticmethod
+    def check(keys):
+        index, rows = KmerIndex.first_seen(keys)
+        ref_index, ref_rows = reference_first_seen(keys)
+        for got, want in ((rows, ref_rows), (index.keys, ref_index.keys),
+                          (index._fp, ref_index._fp), (index._rows, ref_index._rows)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        seen = {}
+        dict_rows = [seen.setdefault(k.tobytes(), len(seen)) for k in keys]
+        np.testing.assert_array_equal(rows, np.array(dict_rows, dtype=np.int64))
+        assert [k.tobytes() for k in index.keys] == list(seen)
+        np.testing.assert_array_equal(index.rows_of(keys), rows)
+        assert not index.has_repeats()
+
+    @pytest.mark.parametrize("keys", list(first_seen_cases()))
+    def test_matches_reference(self, keys):
+        self.check(keys)
+
+    @pytest.mark.parametrize("keys", list(first_seen_cases()))
+    def test_matches_reference_under_weak_hash(self, monkeypatch, keys):
+        # eight fingerprints for all keys: nearly every group holds
+        # different keys, so each is split by its words
+        monkeypatch.setattr(sequence_db, "_fingerprint", lambda k: k[:, -1] & np.uint64(7))
+        self.check(keys)
 
 
 #: gzip damage: the bytes of a damaged copy of a compressed file, and the
