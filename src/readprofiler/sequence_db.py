@@ -254,35 +254,25 @@ def decimal_to_keys(blob, length: int) -> np.ndarray:
     text = np.frombuffer(blob, dtype=np.uint8)
     if not len(text):
         return np.zeros((0, n_words), dtype=np.uint64)
+    ends = np.flatnonzero(text == ord("\n"))
+    starts = np.concatenate([[0], ends + 1])
+    ends = np.append(ends, len(text))
+    sizes = ends - starts
 
-    def refuse(bad, what, first):
+    def refuse(bad, what, first=0):
         if bad.any():           # bad: one flag per row, or one row of flags per row
             row = np.argmax(bad.reshape(len(bad), -1).any(axis=1))
             raise ValueError(f"row code {first + int(row)} {what}")
 
-    max_size = len(str(4 ** length))
     outside = f"lies outside [1, 4^{length}]"
+    refuse(sizes == 0, "is empty")
+    refuse(text[starts] == ord("0"), "has a leading zero")
+    refuse(sizes > len(str(4 ** length)), outside)
     top, top_bits = divmod(2 * length, 16)        # the 16-bit limb holding bit 2L
     pad = np.zeros(width, dtype=np.uint8)
-    parts = []
-    # line ends are found one block of bytes at a time, a block as long as
-    # a chunk of the longest codes, and taken a chunk of rows at a time
-    found = np.zeros(0, dtype=np.int64)
-    scanned = at = lo = 0
-    while at <= len(text):
-        while len(found) < _DECIMAL_CHUNK and scanned < len(text):
-            stop = min(scanned + _DECIMAL_CHUNK * (max_size + 1), len(text))
-            newlines = np.flatnonzero(text[scanned:stop] == ord("\n"))
-            found = np.concatenate([found, scanned + newlines])
-            if stop == len(text):               # the last line has no "\n"
-                found = np.append(found, stop)
-            scanned = stop
-        e, found = found[:_DECIMAL_CHUNK], found[_DECIMAL_CHUNK:]
-        s = np.append(at, e[:-1] + 1)
-        sizes = e - s
-        refuse(sizes == 0, "is empty", lo)
-        refuse(text[s] == ord("0"), "has a leading zero", lo)
-        refuse(sizes > max_size, outside, lo)
+    keys = np.empty((len(starts), n_words), dtype=np.uint64)
+    for lo in range(0, len(starts), _DECIMAL_CHUNK):
+        s, e = starts[lo:lo + _DECIMAL_CHUNK], ends[lo:lo + _DECIMAL_CHUNK]
         # each code right-aligned in D cells of eight bytes; the bytes before
         # its line start, from earlier lines or the padding, are forced to '0'
         seg = np.concatenate([pad, text[s[0]:e[-1]]])
@@ -314,10 +304,8 @@ def decimal_to_keys(blob, length: int) -> np.ndarray:
             limbs[i + 1] += limbs[i] >> 16
             limbs[i] &= 0xFFFF
         refuse((limbs[top + 1:] != 0).any(axis=0) | (limbs[top] >> top_bits != 0), outside, lo)
-        parts.append(np.ascontiguousarray(limbs[slots].T, dtype="<u2").view("<u8"))
-        lo += len(s)
-        at = e[-1] + 1
-    return np.concatenate(parts)
+        keys[lo:lo + len(s)] = np.ascontiguousarray(limbs[slots].T, dtype="<u2").view("<u8")
+    return keys
 
 
 def _fingerprint(keys: np.ndarray) -> np.ndarray:
@@ -333,27 +321,6 @@ def _fingerprint(keys: np.ndarray) -> np.ndarray:
             fp *= multiplier
         fp ^= fp >> _MIX_LAST
     return fp
-
-
-def _split_fingerprint_groups(keys, order, new, shared) -> None:
-    """Sort each fingerprint group that holds different keys by its words,
-    and mark where they change.
-
-    ``order`` sorts ``keys`` by fingerprint and ``new`` marks each position
-    where the fingerprint changes; the keys at positions p and p + 1 of
-    ``shared`` differ under one fingerprint. Both arrays change in place.
-    """
-    starts = np.flatnonzero(new)
-    group = np.unique(np.searchsorted(starts, shared, side="right") - 1)
-    lo = starts[group]
-    size = np.append(starts, len(new))[group + 1] - lo
-    at = np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
-    words = np.take(keys, order[at], axis=0)
-    by_words = np.lexsort((*words.T[::-1], np.repeat(group, size)))
-    order[at] = order[at[by_words]]
-    words = words[by_words]
-    # a pair across two groups meets a group start, which is marked already
-    new[at[1:]] |= (words[1:] != words[:-1]).any(axis=1)
 
 
 class KmerIndex:
@@ -377,10 +344,10 @@ class KmerIndex:
         """Index of the distinct rows of ``keys`` in first-seen order, and
         the row of each key.
 
-        One sort by fingerprint places equal keys side by side. Where two
-        different keys share a fingerprint, only the keys of that
-        fingerprint are sorted again, by their words. Linear passes then
-        number the groups in the order of their first keys.
+        One sort by fingerprint places equal keys side by side unless two
+        different keys share a fingerprint; then a sort by the words
+        themselves does. Linear passes then number the groups in the order
+        of their first keys.
         """
         n = len(keys)
         fp = _fingerprint(keys)
@@ -395,10 +362,11 @@ class KmerIndex:
             return index, np.arange(n)
         tie = np.flatnonzero(~new[1:])
         # np.take gathers whole rows faster than keys[...] does
-        differ = np.take(keys, order[tie], axis=0) != np.take(keys, order[tie + 1], axis=0)
-        shared = differ.any()
+        shared = (np.take(keys, order[tie], axis=0) != np.take(keys, order[tie + 1], axis=0)).any()
         if shared:
-            _split_fingerprint_groups(keys, order, new, tie[differ.any(axis=1)])
+            order = np.lexsort(keys.T[::-1])
+            grouped = keys[order]
+            new[1:] = (grouped[1:] != grouped[:-1]).any(axis=1)
         starts = np.flatnonzero(new)
         # a group's first key, marked where it stands in ``keys``: the marks
         # counted up to it give the group's row, and they stand in row order

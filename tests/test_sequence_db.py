@@ -178,22 +178,20 @@ class TestDecimalCodes:
             assert blob == decimal_reference(keys)
             np.testing.assert_array_equal(decimal_to_keys(blob, L), keys)
 
-    def test_short_codes_across_byte_blocks(self):
-        # codes of one or two digits: a block of line ends holds more rows
-        # than one chunk, and blocks end inside lines
-        block = sequence_db._DECIMAL_CHUNK * (len(str(4 ** 3)) + 1)
+    def test_short_codes_across_chunks(self):
+        # codes of one or two digits, more than three chunks of them; an
+        # error in the last row or the first names that row
         draw = random.Random(3)
         codes = [draw.randint(1, 64) for _ in range(3 * sequence_db._DECIMAL_CHUNK + 7)]
         blob = "\n".join(map(str, codes)).encode()
-        assert len(blob) > 2 * block
         np.testing.assert_array_equal(decimal_to_keys(blob, 3), codes_to_keys(codes, 3))
         last = len(codes) - 1
         for bad, why in ((b"065", "leading zero"), (b"", "is empty"), (b"6x", "decimal digit"),
-                         (b"65", "outside"), (b"1" * (block + 5), "outside")):
+                         (b"65", "outside"), (b"1" * 1000, "outside")):
             with pytest.raises(ValueError, match=f"row code {last} .*{why}"):
                 decimal_to_keys(blob[:blob.rindex(b"\n") + 1] + bad, 3)
         with pytest.raises(ValueError, match="row code 0 .*outside"):
-            decimal_to_keys(b"1" * (2 * block) + b"\n" + blob, 3)
+            decimal_to_keys(b"1" * 1000 + b"\n" + blob, 3)
 
     def test_empty(self):
         assert keys_to_decimal(np.zeros((0, 2), dtype=np.uint64), 40) == []
@@ -514,7 +512,7 @@ class TestFirstSeenOracle:
     @pytest.mark.parametrize("keys", list(first_seen_cases()))
     def test_matches_reference_under_weak_hash(self, monkeypatch, keys):
         # eight fingerprints for all keys: nearly every group holds
-        # different keys, so each is split by its words
+        # different keys, so the keys are sorted by their words
         monkeypatch.setattr(sequence_db, "_fingerprint", lambda k: k[:, -1] & np.uint64(7))
         self.check(keys)
 
