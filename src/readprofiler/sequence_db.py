@@ -35,6 +35,8 @@ _E8 = 10 ** 8
 #: rows per chunk of the decimal code conversions, which keep their work
 #: arrays to a few MB whatever the number of rows
 _DECIMAL_CHUNK = 1 << 13
+#: bytes per block of the line-end scan of a decimal code blob
+_SCAN_BLOCK = 1 << 20
 _ASCII_ZEROS = np.uint64(0x3030303030303030)       # '00000000'
 _HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 _SIXES = np.uint64(0x0606060606060606)
@@ -254,7 +256,10 @@ def decimal_to_keys(blob, length: int) -> np.ndarray:
     text = np.frombuffer(blob, dtype=np.uint8)
     if not len(text):
         return np.zeros((0, n_words), dtype=np.uint64)
-    ends = np.flatnonzero(text == ord("\n"))
+    # line ends found one block of bytes at a time: a mask of the whole blob
+    # would be as large as the blob
+    ends = np.concatenate([np.flatnonzero(text[at:at + _SCAN_BLOCK] == ord("\n")) + at
+                           for at in range(0, len(text), _SCAN_BLOCK)])
     starts = np.concatenate([[0], ends + 1])
     ends = np.append(ends, len(text))
     sizes = ends - starts

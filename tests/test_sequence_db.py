@@ -193,6 +193,20 @@ class TestDecimalCodes:
         with pytest.raises(ValueError, match="row code 0 .*outside"):
             decimal_to_keys(b"1" * 1000 + b"\n" + blob, 3)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_line_ends_across_scan_blocks(self, monkeypatch, block):
+        # codes of 1 to 3 digits, so line ends fall on every offset of a
+        # block; errors still name their row
+        monkeypatch.setattr(sequence_db, "_SCAN_BLOCK", block)
+        draw = random.Random(block)
+        codes = [draw.randint(1, 4 ** 5) for _ in range(200)]
+        blob = "\n".join(map(str, codes)).encode()
+        np.testing.assert_array_equal(decimal_to_keys(blob, 5), codes_to_keys(codes, 5))
+        with pytest.raises(ValueError, match=f"row code {len(codes)} is empty"):
+            decimal_to_keys(blob + b"\n", 5)
+        with pytest.raises(ValueError, match="row code 1 has a leading zero"):
+            decimal_to_keys(b"7\n07\n" + blob, 5)
+
     def test_empty(self):
         assert keys_to_decimal(np.zeros((0, 2), dtype=np.uint64), 40) == []
         assert decimal_to_keys(b"", 40).shape == (0, 2)
