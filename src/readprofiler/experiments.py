@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import logging
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,11 +23,10 @@ from .identifiability import critical_read_length_scan
 from .mixture_sim import empirical_frequencies, sample_power_law_mixture, simulate_reads
 from .read_matrix import ReadSamplingMatrix, build_matrix
 from .reconstruct import DncParams, divide_and_conquer
-from .sequence_db import ALPHABET, SequenceDatabase, parse_fasta, read_json, require_fields
+from .sequence_db import ALPHABET, SequenceDatabase, check_read_length, parse_fasta, \
+    read_json, require_fields
 
 logger = logging.getLogger(__name__)
-
-WORKERS_ENV = "READPROFILER_WORKERS"
 
 TRIAL_FIELDS = [
     "n_reads", "trial", "seed", "config_hash", "failed",
@@ -110,6 +108,20 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
+        # the checks a trial or the scan would make, made before any output
+        check_read_length(self.read_length)
+        n = self.random_db["n"] if self.db_fasta is None else None
+        if self.k < 1 or n is not None and self.k > n:
+            raise ValueError(f"k must be in 1..{'N' if n is None else n}, got {self.k}")
+        if self.alpha < 0:
+            raise ValueError("alpha must be >= 0")
+        l_lo, l_hi = self.l_range
+        if l_lo < 1 or l_hi < l_lo:
+            raise ValueError(f"bad read-length range [{l_lo}, {l_hi}]")
+        if self.workers is not None:
+            require_fields(vars(self), "config", workers=int)
+            if self.workers < 1:
+                raise ValueError("workers must be >= 1")
         self.dnc_params()  # rejects unknown or invalid DncParams fields
 
     @classmethod
@@ -132,11 +144,6 @@ class ExperimentConfig:
         return hashlib.sha256(
             json.dumps(self.to_dict(), sort_keys=True).encode()
         ).hexdigest()[:16]
-
-    def resolve_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
 
     def load_db(self) -> SequenceDatabase:
         if self.db_fasta is not None:
@@ -213,7 +220,7 @@ def run_error_vs_reads(cfg: ExperimentConfig):
 
     jobs = [(gi, n_reads, t) for gi, n_reads in enumerate(cfg.r_grid)
             for t in range(cfg.trials)]
-    workers = cfg.resolve_workers()
+    workers = cfg.workers or 1
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,

@@ -37,15 +37,17 @@ _CERT_MARGIN = 1e3
 
 @dataclass
 class IdentifiabilityReport:
-    identifiable: bool
     rank: int
     n_species: int
     partial_flags: np.ndarray
-    null_space_dim: int
 
-    def __post_init__(self):
-        if self.identifiable != (self.rank == self.n_species):
-            raise ValueError("identifiable flag inconsistent with rank")
+    @property
+    def identifiable(self) -> bool:
+        return self.rank == self.n_species
+
+    @property
+    def null_space_dim(self) -> int:
+        return self.n_species - self.rank
 
 
 def split_components(gram: sp.spmatrix) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -191,15 +193,8 @@ def analyze(A: ReadSamplingMatrix) -> IdentifiabilityReport:
     Rank and flags come from :func:`component_flags` on the cached Gram
     ``A.gram``, refined with A's columns; raises ValueError past ``GRAM_CAP``.
     """
-    n = A.n_species
     flags, rank = component_flags(A.gram, A.matrix)
-    return IdentifiabilityReport(
-        identifiable=rank == n,
-        rank=rank,
-        n_species=n,
-        partial_flags=flags,
-        null_space_dim=n - rank,
-    )
+    return IdentifiabilityReport(rank=rank, n_species=A.n_species, partial_flags=flags)
 
 
 def find_substring_pairs(db: SequenceDatabase) -> list[tuple[int, int]]:

@@ -340,25 +340,6 @@ def _pow2_at_least(n) -> np.ndarray:
     return np.left_shift(1, np.frexp(np.asarray(n) - 1)[1].astype(np.int64))
 
 
-def _run_cumsums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``np.cumsum`` of each run of ``values``, the runs of the given sizes
-    laid end to end. Each run is added up left to right, as ``np.cumsum``
-    adds it, so the sums are the same bit for bit; runs of one power-of-two
-    width are summed side by side in one zero-padded block, so padding at
-    most doubles the work."""
-    out = np.empty(len(values))
-    stop = np.cumsum(sizes)
-    width = _pow2_at_least(sizes)
-    for w in np.unique(width):
-        runs = np.flatnonzero(width == w)
-        at = (stop[runs] - sizes[runs])[:, None] + np.arange(w)
-        inside = at < stop[runs, None]
-        block = np.zeros(at.shape)
-        block[inside] = values[at[inside]]
-        out[at[inside]] = block.cumsum(axis=1)[inside]
-    return out
-
-
 def _guide_invert(cum: np.ndarray, sizes, run, v: np.ndarray) -> np.ndarray:
     """Inversion by guide table (Chen & Asau 1974; Devroye, *Non-Uniform
     Random Variate Generation*, 1986, section III.2.4).
@@ -447,7 +428,7 @@ def simulate_reads(A: ReadSamplingMatrix, x: FrequencyVector, n_reads: int,
         raise ValueError(f"species column {drawn[sizes == 0][0]} is empty")
     stop = np.cumsum(sizes)
     entries = np.repeat(start - (stop - sizes), sizes) + np.arange(stop[-1])
-    col_cum = _run_cumsums(m.data[entries], sizes)
+    col_cum = np.concatenate([np.cumsum(m.data[i:i + n]) for i, n in zip(start, sizes)])
     col_cum[stop - 1] = 1.0
     run = (np.cumsum(hit) - 1)[pick]        # each read's species among the drawn
     read = _guide_invert(col_cum, sizes, run, v)

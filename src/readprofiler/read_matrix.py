@@ -86,8 +86,8 @@ class ReadSamplingMatrix:
     first use, and every consumer reads that one product.
     """
 
-    #: :meth:`gram_if_cheap` forms A'A only within this many multiply-adds
-    #: per stored entry of A.
+    #: :meth:`block_gram` forms A'A only within this many multiply-adds per
+    #: stored entry of A.
     _CHEAP_GRAM_PRODUCTS = 2
 
     def __init__(self, read_length: int, matrix: sp.csc_matrix, index: KmerIndex,
@@ -102,6 +102,7 @@ class ReadSamplingMatrix:
         self.index = index
         self.col_lengths = np.asarray(col_lengths, dtype=np.int64)
         self._gram: sp.csr_matrix | None = None
+        self._gram_cheap: bool | None = None     # block_gram's verdict on forming it
 
     @property
     def gram(self) -> sp.csr_matrix:
@@ -119,24 +120,28 @@ class ReadSamplingMatrix:
             self._gram = (self.matrix.T @ self.matrix).tocsr()
         return self._gram
 
-    def gram_if_cheap(self) -> sp.csr_matrix | None:
-        """:attr:`gram` when it is cached or cheap to form, else None.
+    def block_gram(self, cols) -> sp.csr_matrix:
+        """Sparse Gram of the ``cols`` columns: a slice of :attr:`gram` when
+        that is cached or cheap to form, else the product of those columns
+        alone. Either way it holds the same bits.
 
         Forming A'A takes sum_k r_k^2 multiply-adds, r_k being the number of
         species in row k, and that sum bounds its nnz. Uncached, it is formed
         only when the sum is at most twice nnz(A), so the cache holds at most
-        twice A's own entries. Species that share many rows (short L, strain
-        families) make A'A nearly dense, N^2 entries; a caller that needs only
-        blocks of it then forms each block's own product instead.
+        twice A's own entries; the verdict is taken once per matrix. Species
+        that share many rows (short L, strain families) make A'A nearly
+        dense, N^2 entries, and each block then costs only its own columns.
         """
-        if self._gram is None:
+        if self._gram is None and self._gram_cheap is None:
             # add.at reads the int32 row indices in place; bincount would
             # first copy them to int64, 8 bytes per stored entry
             counts = np.zeros(self.n_rows, dtype=np.int64)
             np.add.at(counts, self.matrix.indices, 1)
-            if int(counts @ counts) > self._CHEAP_GRAM_PRODUCTS * self.matrix.nnz:
-                return None
-        return self.gram
+            self._gram_cheap = int(counts @ counts) <= self._CHEAP_GRAM_PRODUCTS * self.matrix.nnz
+        if self._gram is None and not self._gram_cheap:
+            sub = self.matrix[:, cols]
+            return sub.T @ sub
+        return self.gram[cols][:, cols]
 
     @property
     def n_rows(self) -> int:
@@ -152,16 +157,6 @@ class ReadSamplingMatrix:
     def columns_off_one(self) -> np.ndarray:
         """The columns whose sum is off 1 by more than ``COLUMN_SUM_TOL``."""
         return np.flatnonzero(np.abs(self.column_sums() - 1.0) > COLUMN_SUM_TOL)
-
-    def expected_read_distribution(self, x: FrequencyVector) -> np.ndarray:
-        """A @ x' over the stored rows; sums to 1 for normalized dna input."""
-        if x.kind != "dna":
-            raise ValueError("expected a dna-weighted frequency vector")
-        if not x.normalized:
-            raise ValueError("expected a normalized frequency vector")
-        if len(x) != self.n_species:
-            raise ValueError(f"dimension mismatch: {len(x)} vs {self.n_species} species")
-        return self.matrix @ x.values
 
     # -- serialization -----------------------------------------------------
 
@@ -250,8 +245,8 @@ class ReadSamplingMatrix:
         keys = decimal_to_keys(payload[numbers:], read_length)
         if len(keys) != n_rows:
             raise ValueError(f"{len(keys)} row codes for {n_rows} rows")
-        index = KmerIndex(keys)
-        if index.has_repeats():
+        index, _ = KmerIndex.first_seen(keys)
+        if len(index.keys) < n_rows:
             raise ValueError("a row code repeats")
         row_step = np.diff(rows)
         if (rows[0] < 0 or rows[-1] >= n_rows or cols.min() < 0 or cols.max() >= n

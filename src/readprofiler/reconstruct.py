@@ -126,39 +126,27 @@ def partition_species(ids, block_size: int, seed: int, iteration: int,
     return [perm[i:i + block_size] for i in range(0, len(perm), block_size)]
 
 
-def _block_gram(A: ReadSamplingMatrix, gram, cols):
-    """Sparse Gram of A's ``cols`` columns, for the block's solve and its
-    screen: a slice of ``gram`` (A'A) when there is one, else the product of
-    those columns alone."""
-    if gram is not None:
-        return gram[cols][:, cols]
-    sub = A.matrix[:, cols]
-    return sub.T @ sub
-
-
 def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
                        ) -> ReconstructionReport:
     """Run the full blocking/thresholding/final-solve pipeline on observed
     read frequencies ``y`` (length K, aligned to A's compact rows).
 
     Every block's right-hand side is sliced from ``A'y``, formed once per
-    call. Its Gram is sliced from A'A when
-    :meth:`ReadSamplingMatrix.gram_if_cheap` gives it, so a block costs its
-    own size rather than a pass over the K rows; otherwise (species sharing
-    many rows) each block forms its own columns' product, and memory stays
-    bounded by the block. Either way the Gram holds the same bits. The
-    ambiguity screen runs :func:`component_flags` on every block's sparse
-    Gram, as ``analyze`` does on A'A: a singleton component is full rank as
-    it stands, and only multi-column components are factorised. The final
-    solve reports ||Ax - y|| from the surviving columns of A, and its
-    solution goes onto the simplex by :meth:`FrequencyVector.normalize`.
+    call, and its Gram comes from :meth:`ReadSamplingMatrix.block_gram`: a
+    slice of A'A when that is cheap, so a block costs its own size rather
+    than a pass over the K rows, else the product of its own columns, so
+    memory stays bounded by the block. The ambiguity screen runs
+    :func:`component_flags` on every block's sparse Gram, as ``analyze``
+    does on A'A: a singleton component is full rank as it stands, and only
+    multi-column components are factorised. The final solve reports
+    ||Ax - y|| from the surviving columns of A, and its solution goes onto
+    the simplex by :meth:`FrequencyVector.normalize`.
     """
     params = params or DncParams()
     y = np.asarray(y, dtype=float).ravel()
     n = A.n_species
     if len(y) != A.n_rows:
         raise ValueError(f"y has {len(y)} entries but matrix has {A.n_rows} rows")
-    gram = A.gram_if_cheap()
     aty = A.matrix.T @ y
 
     active = np.arange(n)
@@ -178,7 +166,7 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
                                           params.seed, iteration, round_idx)
             for pos in positions:
                 cols = active[pos]
-                Gs = _block_gram(A, gram, cols)
+                Gs = A.block_gram(cols)
                 sol = nnls_from_gram(Gs.toarray(), aty[cols], kkt_tol=params.kkt_tol)
                 blocks_solved += 1
                 if not sol.converged:
@@ -205,7 +193,7 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
             break
 
     # final solve on the surviving columns against the full objective
-    G = _block_gram(A, gram, active).toarray()
+    G = A.block_gram(active).toarray()
     sol = nnls_from_gram(G, aty[active], kkt_tol=params.kkt_tol)
     sol.residual_norm = residual_norm(A.matrix[:, active], sol.x, y)
     if sol.x.sum() <= 0:

@@ -387,15 +387,6 @@ class KmerIndex:
         index._adopt(distinct, sorted_fp[starts], group_row)
         return index, rows
 
-    def has_repeats(self) -> bool:
-        """Whether two rows hold the same key; :meth:`first_seen` never
-        builds such an index, but a key table read from a file may."""
-        tie = np.flatnonzero(self._fp[1:] == self._fp[:-1])
-        if not len(tie):
-            return False
-        rows = self._rows[np.union1d(tie, tie + 1)]
-        return len(np.unique(self.keys[rows], axis=0)) < len(rows)
-
     def rows_of(self, keys: np.ndarray) -> np.ndarray:
         """Row of each key, or -1 where the index does not hold it."""
         out = np.full(len(keys), -1, dtype=np.int64)

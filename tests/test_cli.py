@@ -274,6 +274,16 @@ class TestErrorHandling:
         assert run("random-db", "--n", "0", "--length", "10",
                    "--out", str(tmp_path / "db.fasta")) == 2
 
+    def test_tail_past_the_cap_exits_2(self, tmp_path, capsys):
+        db = tmp_path / "db.fasta"
+        db.write_text(">long\nACGTACGTACGTACGTACGT\n>short\nACGTA\n")
+        assert run("build-matrix", "--db", str(db), "--read-len", "18",
+                   "--out", str(tmp_path / "m.rsm")) == 2
+        err = capsys.readouterr().err
+        assert ("error: species 2 ('short'): read length exceeds sequence length by 13 > 12; "
+                "tail expansion refused") in err and "Traceback" not in err
+        assert not (tmp_path / "m.rsm").exists()
+
     @pytest.mark.parametrize("read_length", [0, -3, 513])
     def test_counts_read_length_out_of_range_exits_2(self, pipeline_dir, tmp_path,
                                                      read_length, capsys):
@@ -335,14 +345,34 @@ class TestErrorHandling:
          "config: field 'l_range' must hold int values, got str"),
         ({"random_db": {"n": 5, "length": 20}, "l_range": 2},
          "config: field 'l_range' must be list, got int"),
+        ({"random_db": {"n": 5, "length": 20}, "k": 2, "workers": "2"},
+         "config: field 'workers' must be int, got str"),
+        ({"random_db": {"n": 5, "length": 20}, "k": 2, "workers": 0}, "workers must be >= 1"),
+        ({"random_db": {"n": 5, "length": 20}, "k": 2, "workers": -3}, "workers must be >= 1"),
+        ({"random_db": {"n": 5, "length": 20}, "k": 0}, "k must be in 1..5, got 0"),
+        ({"random_db": {"n": 5, "length": 20}, "k": 6}, "k must be in 1..5, got 6"),
+        ({"db_fasta": "db.fasta", "k": 0}, "k must be in 1..N, got 0"),
+        ({"random_db": {"n": 5, "length": 20}, "k": 2, "alpha": -1}, "alpha must be >= 0"),
+        ({"random_db": {"n": 5, "length": 20}, "k": 2, "read_length": 0},
+         "read length 0 outside [1, 512]"),
+        ({"random_db": {"n": 5, "length": 20}, "k": 2, "read_length": 600},
+         "read length 600 outside [1, 512]"),
+        ({"random_db": {"n": 5, "length": 20}, "k": 2, "l_range": [5, 3]},
+         "bad read-length range [5, 3]"),
+        ({"random_db": {"n": 5, "length": 20}, "k": 2, "l_range": [0, 3]},
+         "bad read-length range [0, 3]"),
     ], ids=["no_n", "no_length", "string_length", "list_random_db", "list", "not_json",
             "string_read_length", "string_db_seed", "float_k", "string_alpha", "int_db_fasta",
             "string_r_grid", "int_r_grid", "list_dnc", "string_block_size", "null_tau",
-            "float_schedule", "short_l_range", "string_l_range", "int_l_range"])
-    def test_malformed_experiment_config_exits_2(self, tmp_path, capsys, config, why):
+            "float_schedule", "short_l_range", "string_l_range", "int_l_range",
+            "string_workers", "zero_workers", "negative_workers", "zero_k", "k_above_n",
+            "zero_k_fasta", "negative_alpha", "zero_read_length", "long_read_length",
+            "reversed_l_range", "zero_l_range"])
+    @pytest.mark.parametrize("which", ["error-vs-reads", "ident-scan"])
+    def test_malformed_experiment_config_exits_2(self, tmp_path, capsys, config, why, which):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
-        assert run("experiment", "error-vs-reads", "--config", str(cfg),
+        assert run("experiment", which, "--config", str(cfg),
                    "--out-dir", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert f"invalid config: {why.format(cfg=cfg)}" in err and "Traceback" not in err

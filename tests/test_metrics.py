@@ -288,7 +288,7 @@ class TestProjectionContraction:
         db = db_of("ACGTACGGTT", "GGCATTGACC", "TTTCGATTAG")
         A = build_matrix(db, 3)
         x_true = FrequencyVector([0.5, 0.3, 0.2], "species", normalized=True)
-        y_star = A.expected_read_distribution(reweight_to_dna(x_true, A.col_lengths))
+        y_star = A.matrix @ reweight_to_dna(x_true, A.col_lengths).values
         for seed in range(5):
             emp = empirical_frequencies(simulate_reads(A, x_true, 20000, seed), A)
             sol = nnls_solve(A.matrix, emp.y)

@@ -109,6 +109,12 @@ class TestBuildMatrix:
     def test_rejects_huge_tail_expansion(self):
         with pytest.raises(ValueError):
             build_matrix(db_of("AC"), 20)
+        # 13 tail bases, one past MAX_TAIL_LENGTH; at 12 the column alone
+        # would expand into 4**12 = 16.7M rows
+        with pytest.raises(ValueError, match=re.escape(
+                "species 2 ('seq_2'): read length exceeds sequence length by 13 > 12; "
+                "tail expansion refused")):
+            build_matrix(db_of("ACGTACGTACGTACGTACGT", "ACGTA"), 18)
 
     def test_oracle_equivalence_random_small(self):
         rng = np.random.default_rng(42)
@@ -434,16 +440,21 @@ class TestGramCache:
         with pytest.raises(AttributeError):
             A.gram = want
 
-    def test_gram_if_cheap(self):
+    def test_block_gram(self):
+        cols = np.array([2, 0])
         # no shared 4-mer: one species per row, A'A takes nnz(A) products
         A = build_matrix(db_of("ACGTACGTAC", "GGCATTGA", "TTTAGC"), 4)
-        assert A.gram_if_cheap() is A.gram
+        G = A.block_gram(cols)
+        assert A._gram is not None              # formed, cached and sliced
+        assert (G != A.gram[cols][:, cols]).nnz == 0
         # every species holds all four 1-mers: 4 * 3**2 products > 2 * 12
         B = build_matrix(db_of("ACGT", "TGCA", "GATC"), 1)
-        assert B.gram_if_cheap() is None
-        assert B.gram_if_cheap() is None        # declining caches nothing
-        gram = B.gram
-        assert B.gram_if_cheap() is gram        # a cached A'A is returned
+        sub = B.matrix[:, cols]
+        for _ in range(2):
+            assert (B.block_gram(cols) != sub.T @ sub).nnz == 0
+            assert B._gram is None              # declining caches nothing
+        B._gram = 2 * B.gram                    # a cached A'A is sliced
+        assert (B.block_gram(cols) != 2 * (sub.T @ sub)).nnz == 0
 
     @pytest.mark.parametrize("seqs,L", CASES)
     def test_cache_never_saved(self, tmp_path, seqs, L):
@@ -511,16 +522,17 @@ class TestFrequencyConversions:
 
 
 class TestExpectedReadDistribution:
+    """A @ x', the read distribution of dna-weighted frequencies x'."""
+
     def test_basis_vector_returns_column(self):
         A = build_matrix(db_of("ACGTACGTAC", "GGCATTGA"), 3)
         e0 = FrequencyVector([1.0, 0.0], "dna", normalized=True)
-        np.testing.assert_array_equal(A.expected_read_distribution(e0),
-                                      A.matrix.toarray()[:, 0])
+        np.testing.assert_array_equal(A.matrix @ e0.values, A.matrix.toarray()[:, 0])
 
     def test_disjoint_windows_hand_example(self):
         A = build_matrix(db_of("ACGT", "TGCA"), 2)
         xp = FrequencyVector([0.5, 0.5], "dna", normalized=True)
-        dist = A.expected_read_distribution(xp)
+        dist = A.matrix @ xp.values
         assert A.n_rows == 6
         np.testing.assert_allclose(dist, 1 / 6, atol=1e-15)
 
@@ -528,10 +540,4 @@ class TestExpectedReadDistribution:
         A = build_matrix(db_of("ACGTACGTAC", "GG", "TTTAGC"), 4)
         rng = np.random.default_rng(0)
         xp = FrequencyVector(rng.random(3), "dna").normalize()
-        assert abs(A.expected_read_distribution(xp).sum() - 1.0) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        A = build_matrix(db_of("ACGT"), 2)
-        xp = FrequencyVector([0.5, 0.5], "dna", normalized=True)
-        with pytest.raises(ValueError):
-            A.expected_read_distribution(xp)
+        assert abs((A.matrix @ xp.values).sum() - 1.0) <= 1e-12

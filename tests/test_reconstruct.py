@@ -12,7 +12,6 @@ from readprofiler.reconstruct import (
     DncParams,
     IterationStats,
     ReconstructionReport,
-    _block_gram,
     _empty_report,
     _solver_diag,
     default_repetitions,
@@ -311,16 +310,19 @@ class TestDncMatchesPerBlockReference:
     @pytest.mark.parametrize("i", range(60))
     def test_block_grams_symmetric_and_solved_as_reference(self, i):
         # the solver reads G's passive rows for its columns, which needs
-        # G == G' bit for bit, from A'A and from a block's own product alike
+        # G == G' bit for bit, from a block's own product and from A'A alike
         A, y, params = oracle_instance(i)
         aty = A.matrix.T @ y
+        blocks = partition_species(np.arange(A.n_species), params.block_size,
+                                   params.seed, 1, 0)
+        A._gram_cheap = False                   # each block's own product
+        products = [A.block_gram(cols) for cols in blocks]
+        assert A._gram is None
         assert (A.gram != A.gram.T).nnz == 0
-        for cols in partition_species(np.arange(A.n_species), params.block_size,
-                                      params.seed, 1, 0):
-            for gram in (A.gram, None):
-                G = _block_gram(A, gram, cols)
-                assert (G != G.T).nnz == 0
-            assert_matches_reference(G.toarray(), aty[cols], kkt_tol=params.kkt_tol)
+        for cols, P in zip(blocks, products):
+            G = A.block_gram(cols)              # a slice of the cached A'A
+            assert (G != G.T).nnz == 0 and (P != P.T).nnz == 0 and (G != P).nnz == 0
+            assert_matches_reference(P.toarray(), aty[cols], kkt_tol=params.kkt_tol)
 
     def test_costly_gram_left_unformed(self):
         # family species share rows, so DnC forms per-block products and
@@ -328,7 +330,29 @@ class TestDncMatchesPerBlockReference:
         for i, cheap in ((0, False), (3, False), (8, True), (17, True)):
             A, y, params = oracle_instance(i)
             divide_and_conquer(A, y, params)
-            assert (A.gram_if_cheap() is not None) == cheap
+            assert A._gram_cheap == cheap and (A._gram is not None) == cheap
+
+    def test_costly_gram_verdict_taken_once(self, monkeypatch):
+        # declining A'A counts each row's species once per matrix, not once
+        # per divide_and_conquer call
+        from readprofiler import read_matrix
+        A, y, params = oracle_instance(0)
+        counted = []
+
+        class Numpy:            # numpy, recording np.add.at calls on A's rows
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            class add:
+                @staticmethod
+                def at(a, indices, b):
+                    counted.append(indices is A.matrix.indices)
+                    np.add.at(a, indices, b)
+
+        monkeypatch.setattr(read_matrix, "np", Numpy())
+        want = divide_and_conquer(A, y, params).to_dict()
+        assert divide_and_conquer(A, y, params).to_dict() == want
+        assert counted == [True] and A._gram is None
 
     def test_only_family_instances_reach_the_kernel(self, monkeypatch):
         # family species share k-mers, so their blocks hold multi-column

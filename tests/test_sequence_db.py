@@ -517,7 +517,6 @@ class TestFirstSeenOracle:
         np.testing.assert_array_equal(rows, np.array(dict_rows, dtype=np.int64))
         assert [k.tobytes() for k in index.keys] == list(seen)
         np.testing.assert_array_equal(index.rows_of(keys), rows)
-        assert not index.has_repeats()
 
     @pytest.mark.parametrize("keys", list(first_seen_cases()))
     def test_matches_reference(self, keys):
