@@ -138,13 +138,20 @@ def cmd_experiment(args) -> int:
     except (ValueError, TypeError, FileNotFoundError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    if args.which == "error-vs-reads":
-        _, _, n_failed = run_error_vs_reads(cfg)
-        if n_failed:
-            print(f"{n_failed} trials failed; summary still written", file=sys.stderr)
-            return 3
-    else:
-        run_identifiability_scan(cfg)
+    # the runners refuse what the config asks of its database (k above N, a
+    # bad read-length range) before they make the output directory
+    try:
+        if args.which == "error-vs-reads":
+            n_failed = run_error_vs_reads(cfg)[2]
+        else:
+            run_identifiability_scan(cfg)
+            n_failed = 0
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 2
+    if n_failed:
+        print(f"{n_failed} trials failed; summary still written", file=sys.stderr)
+        return 3
     print(f"experiment outputs in {cfg.output_dir}")
     return 0
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import metrics
 from .identifiability import critical_read_length_scan
-from .mixture_sim import empirical_frequencies, sample_power_law_mixture, simulate_reads
+from .mixture_sim import check_mixture_params, empirical_frequencies, \
+    sample_power_law_mixture, simulate_reads
 from .read_matrix import ReadSamplingMatrix, build_matrix
 from .reconstruct import DncParams, divide_and_conquer
 from .sequence_db import ALPHABET, SequenceDatabase, check_read_length, parse_fasta, \
@@ -108,16 +109,7 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        # the checks a trial or the scan would make, made before any output
         check_read_length(self.read_length)
-        n = self.random_db["n"] if self.db_fasta is None else None
-        if self.k < 1 or n is not None and self.k > n:
-            raise ValueError(f"k must be in 1..{'N' if n is None else n}, got {self.k}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        l_lo, l_hi = self.l_range
-        if l_lo < 1 or l_hi < l_lo:
-            raise ValueError(f"bad read-length range [{l_lo}, {l_hi}]")
         if self.workers is not None:
             require_fields(vars(self), "config", workers=int)
             if self.workers < 1:
@@ -211,10 +203,11 @@ def run_error_vs_reads(cfg: ExperimentConfig):
 
     Writes trials.csv (one row per trial), summary.csv (mean/sd per grid
     point), and summary.json. Returns (trial_rows, summary_rows, n_failed).
+    A config the database cannot serve raises before the output directory
+    is made.
     """
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     db = cfg.load_db()
+    check_mixture_params(len(db), cfg.k, cfg.alpha)
     A = build_matrix(db, cfg.read_length)
     lam = metrics.gram_lambda_min(A)
 
@@ -231,6 +224,8 @@ def run_error_vs_reads(cfg: ExperimentConfig):
         rows = [_run_trial(job) for job in jobs]
     rows.sort(key=lambda r: (r["n_reads"], r["trial"]))
 
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "trials.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=TRIAL_FIELDS, extrasaction="ignore")
         writer.writeheader()
@@ -272,9 +267,8 @@ def run_identifiability_scan(cfg: ExperimentConfig):
     size-matched random-sequence control, each from one
     :func:`critical_read_length_scan`. The monotonicity violations are the
     read lengths where either fraction drops; the critical length is the
-    database's. Writes scan.csv and scan.json."""
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    database's. Writes scan.csv and scan.json, after both scans, so a bad
+    ``l_range`` or database raises before the output directory is made."""
     db = cfg.load_db()
     mean_len = int(round(np.mean(db.lengths)))
     control = generate_random_db(len(db), mean_len, cfg.seed + 1)
@@ -293,6 +287,8 @@ def run_identifiability_scan(cfg: ExperimentConfig):
         scan_ctl.fractions, scan_ctl.fully_identifiable)]
     violations = sorted({*scan_db.monotonicity_violations, *scan_ctl.monotonicity_violations})
     critical = scan_db.critical_length
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "scan.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

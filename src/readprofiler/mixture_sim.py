@@ -88,14 +88,19 @@ class MixtureSpec:
                    d.get("seed", 0), d.get("generator_tag", "manual"))
 
 
-def sample_power_law_mixture(db, k: int, alpha: float, seed: int) -> MixtureSpec:
-    """Pick k distinct species uniformly at random and give the i-th chosen
-    species unnormalized weight i^(-alpha), then normalize."""
-    n = db if isinstance(db, (int, np.integer)) else len(db)
+def check_mixture_params(n: int, k: int, alpha: float) -> None:
+    """Refuse a support size k outside 1..n or a negative exponent alpha."""
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
+
+
+def sample_power_law_mixture(db, k: int, alpha: float, seed: int) -> MixtureSpec:
+    """Pick k distinct species uniformly at random and give the i-th chosen
+    species unnormalized weight i^(-alpha), then normalize."""
+    n = db if isinstance(db, (int, np.integer)) else len(db)
+    check_mixture_params(n, k, alpha)
     rng = np.random.default_rng(seed)
     support = rng.choice(n, size=k, replace=False) + 1
     # rank-based weights in chosen order: i-th chosen species gets i^(-alpha)

@@ -349,34 +349,70 @@ class TestErrorHandling:
          "config: field 'workers' must be int, got str"),
         ({"random_db": {"n": 5, "length": 20}, "k": 2, "workers": 0}, "workers must be >= 1"),
         ({"random_db": {"n": 5, "length": 20}, "k": 2, "workers": -3}, "workers must be >= 1"),
-        ({"random_db": {"n": 5, "length": 20}, "k": 0}, "k must be in 1..5, got 0"),
-        ({"random_db": {"n": 5, "length": 20}, "k": 6}, "k must be in 1..5, got 6"),
-        ({"db_fasta": "db.fasta", "k": 0}, "k must be in 1..N, got 0"),
-        ({"random_db": {"n": 5, "length": 20}, "k": 2, "alpha": -1}, "alpha must be >= 0"),
         ({"random_db": {"n": 5, "length": 20}, "k": 2, "read_length": 0},
          "read length 0 outside [1, 512]"),
         ({"random_db": {"n": 5, "length": 20}, "k": 2, "read_length": 600},
          "read length 600 outside [1, 512]"),
-        ({"random_db": {"n": 5, "length": 20}, "k": 2, "l_range": [5, 3]},
-         "bad read-length range [5, 3]"),
-        ({"random_db": {"n": 5, "length": 20}, "k": 2, "l_range": [0, 3]},
-         "bad read-length range [0, 3]"),
     ], ids=["no_n", "no_length", "string_length", "list_random_db", "list", "not_json",
             "string_read_length", "string_db_seed", "float_k", "string_alpha", "int_db_fasta",
             "string_r_grid", "int_r_grid", "list_dnc", "string_block_size", "null_tau",
             "float_schedule", "short_l_range", "string_l_range", "int_l_range",
-            "string_workers", "zero_workers", "negative_workers", "zero_k", "k_above_n",
-            "zero_k_fasta", "negative_alpha", "zero_read_length", "long_read_length",
-            "reversed_l_range", "zero_l_range"])
-    @pytest.mark.parametrize("which", ["error-vs-reads", "ident-scan"])
-    def test_malformed_experiment_config_exits_2(self, tmp_path, capsys, config, why, which):
+            "string_workers", "zero_workers", "negative_workers", "zero_read_length",
+            "long_read_length"])
+    def test_malformed_experiment_config_exits_2(self, tmp_path, capsys, config, why):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
-        assert run("experiment", which, "--config", str(cfg),
+        assert run("experiment", "error-vs-reads", "--config", str(cfg),
                    "--out-dir", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert f"invalid config: {why.format(cfg=cfg)}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("which,config,why", [
+        ("error-vs-reads", {"random_db": {"n": 5, "length": 20}, "k": 0},
+         "k must be in 1..5, got 0"),
+        ("error-vs-reads", {"random_db": {"n": 5, "length": 20}, "k": 6},
+         "k must be in 1..5, got 6"),
+        ("error-vs-reads", {"db_fasta": "{db}", "k": 3}, "k must be in 1..2, got 3"),
+        ("error-vs-reads", {"random_db": {"n": 5, "length": 20}, "k": 2, "alpha": -1},
+         "alpha must be >= 0"),
+        ("error-vs-reads", {"random_db": {"n": 0, "length": 20}},
+         "n and length must be >= 1"),
+        ("error-vs-reads", {"db_fasta": "{db}", "k": 2, "read_length": 30},
+         "species 1 ('a'): read length exceeds sequence length by 22 > 12"),
+        ("ident-scan", {"random_db": {"n": 5, "length": 20}, "l_range": [5, 3]},
+         "bad read-length range [5, 3]"),
+        ("ident-scan", {"random_db": {"n": 5, "length": 20}, "l_range": [0, 3]},
+         "bad read-length range [0, 3]"),
+        ("ident-scan", {"random_db": {"n": 5, "length": 0}}, "n and length must be >= 1"),
+        ("ident-scan", {"db_fasta": "{db}.missing"}, "No such file or directory"),
+        ("ident-scan", {"random_db": {"n": 5, "length": 20}, "workers": "2"},
+         "config: field 'workers' must be int, got str"),
+        ("ident-scan", {"random_db": {"n": 5, "length": 20}, "read_length": 0},
+         "read length 0 outside [1, 512]"),
+    ], ids=["zero_k", "k_above_n", "k_above_fasta_n", "negative_alpha", "zero_n",
+            "tail_past_cap", "reversed_l_range", "zero_l_range", "zero_length",
+            "missing_fasta", "string_workers", "zero_read_length"])
+    def test_config_refused_before_output_exits_2(self, tmp_path, capsys, which, config,
+                                                  why):
+        # the config's fields are checked as it is read; what they ask of the
+        # database (k within N, a read-length range) by the runner that uses
+        # them, before it makes the output directory
+        db = tmp_path / "db.fasta"
+        db.write_text(">a\nACGTACGT\n>b\nTTGACCAG\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config).replace("{db}", str(db)))
+        assert run("experiment", which, "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "invalid config: " in err and why in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_ident_scan_ignores_k(self, tmp_path):
+        # ident-scan reads no k, so the default k = 20 does not bound --n
+        assert run("experiment", "ident-scan", "--n", "10",
+                   "--out-dir", str(tmp_path / "scan")) == 0
+        assert (tmp_path / "scan" / "scan.json").exists()
 
     @pytest.mark.parametrize("value", ["2", "2:x", "2:5:7", ""])
     def test_bad_l_range_flag_exits_2_naming_it(self, pipeline_dir, capsys, value):

@@ -561,7 +561,7 @@ class TestScanArtifacts:
             "substrings": dict(db_fasta=write_db("substrings", (
                 "ACGTACGT", "GTAC", "TTGCAAC", "GCA", "CCATG", "AT", "GGTTAACC"))),
             "db_drops": dict(db_fasta=write_db("db_drops", self.DB_DROPS)),
-            "control_drops": dict(random_db={"n": 6, "length": 7, "seed": 5}, k=6,
+            "control_drops": dict(random_db={"n": 6, "length": 7, "seed": 5},
                                   seed=control_seed),
         }
         monkeypatch.setattr(experiments, "generate_random_db", generate)
