@@ -71,7 +71,7 @@ def cmd_identifiability(args) -> int:
     if args.l_range:
         scan = critical_read_length_scan(db, *args.l_range)
         out["scan"] = scan.to_dict()
-    if args.at_l:
+    if args.at_l is not None:
         report = analyze(build_matrix(db, args.at_l))
         out["at_read_length"] = {
             "read_length": args.at_l,

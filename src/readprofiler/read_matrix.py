@@ -314,16 +314,18 @@ def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
     index, rows = KmerIndex.first_seen(keys)
     del keys
     n_rows = len(index.keys)
-    cols = np.repeat(np.arange(n_species), n_reads)
     if n_rows == len(rows):
         # every window's key is distinct, so rows count up from 0 and each
         # (column, row) pair occurs once, already in order
-        count = np.ones(n_rows, dtype=np.int64)
+        data = np.repeat(1 / n_reads, n_reads)
+        indptr = np.concatenate([[0], np.cumsum(n_reads)])
     else:
+        cols = np.repeat(np.arange(n_species), n_reads)
         entry, count = np.unique(cols * n_rows + rows, return_counts=True)
         cols, rows = np.divmod(entry, n_rows)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_species))])
-    matrix = sp.csc_matrix((count / n_reads[cols], rows, indptr), shape=(n_rows, n_species))
+        data = count / n_reads[cols]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_species))])
+    matrix = sp.csc_matrix((data, rows, indptr), shape=(n_rows, n_species))
     out = ReadSamplingMatrix(read_length, matrix, index, lengths)
     bad = out.columns_off_one()
     if len(bad):

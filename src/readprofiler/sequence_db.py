@@ -37,6 +37,9 @@ _E8 = 10 ** 8
 _DECIMAL_CHUNK = 1 << 13
 #: bytes per block of the line-end scan of a decimal code blob
 _SCAN_BLOCK = 1 << 20
+#: positions, starts or keys per block of the k-mer code, key gather and
+#: fingerprint passes, whose work arrays then stay in cache
+_CACHE_BLOCK = 1 << 14
 _ASCII_ZEROS = np.uint64(0x3030303030303030)       # '00000000'
 _HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 _SIXES = np.uint64(0x0606060606060606)
@@ -130,14 +133,24 @@ def kmer_keys(digits: np.ndarray, length: int, starts) -> np.ndarray:
         return np.zeros((0, n_words), dtype=np.uint64)
     if len(starts) * n_words >= len(digits):
         # most positions start a word: the 32-mer code at every position, by
-        # doubling (codes of 2 bases from codes of 1, then 4, ... 32); the
-        # A-padding past the end reaches only bits the final shift drops
-        codes = np.concatenate([digits, np.zeros(31, dtype=np.uint8)]).astype(np.uint64)
-        for width in (1, 2, 4, 8, 16):
-            codes = (codes[:-width] << np.uint64(2 * width)) | codes[width:]
+        # doubling (codes of 2 bases from codes of 1, then 4, ... 32), one
+        # block of positions at a time; the A-padding past the end reaches
+        # only bits the final shift drops
+        padded = np.concatenate([digits, np.zeros(31, dtype=np.uint8)])
+        codes = np.empty(len(digits), dtype=np.uint64)
+        for lo in range(0, len(digits), _CACHE_BLOCK):
+            block = padded[lo:lo + _CACHE_BLOCK + 31].astype(np.uint64)
+            for width in (1, 2, 4, 8, 16):
+                block = (block[:-width] << np.uint64(2 * width)) | block[width:]
+            codes[lo:lo + _CACHE_BLOCK] = block
+        # the words of each window, one chunk of starts at a time: no index
+        # array as large as the keys
         offsets = np.maximum(32 * np.arange(n_words) - 32 + lead, 0)
-        keys = codes[starts[:, None] + offsets]
-        keys[:, 0] >>= np.uint64(2 * (32 - lead))
+        keys = np.empty((len(starts), n_words), dtype=np.uint64)
+        for lo in range(0, len(starts), _CACHE_BLOCK):
+            chunk = keys[lo:lo + _CACHE_BLOCK]
+            chunk[:] = codes[starts[lo:lo + _CACHE_BLOCK, None] + offsets]
+            chunk[:, 0] >>= np.uint64(2 * (32 - lead))
         return keys
     # few, separate windows: copy out their bases behind A-padding up to
     # whole words, then pack each four bases into one byte and read eight
@@ -317,15 +330,40 @@ def _fingerprint(keys: np.ndarray) -> np.ndarray:
     """Hash of each key's words, each xored in and then mixed into every bit
     by the splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014), so no
     later word can cancel a difference. One-word keys never collide: each
-    step is a bijection of uint64."""
+    step is a bijection of uint64. Works on one block of keys at a time."""
     fp = np.zeros(len(keys), dtype=np.uint64)
-    for w in range(keys.shape[1]):
-        fp ^= keys[:, w]
-        for shift, multiplier in _MIX_STEPS:
-            fp ^= fp >> shift
-            fp *= multiplier
-        fp ^= fp >> _MIX_LAST
+    for lo in range(0, len(keys), _CACHE_BLOCK):
+        block, part = fp[lo:lo + _CACHE_BLOCK], keys[lo:lo + _CACHE_BLOCK]
+        for w in range(keys.shape[1]):
+            block ^= part[:, w]
+            for shift, multiplier in _MIX_STEPS:
+                block ^= block >> shift
+                block *= multiplier
+            block ^= block >> _MIX_LAST
     return fp
+
+
+def _sort_by_fingerprint(fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, fp[order])``, ``order`` sorting ``fp`` and equal
+    fingerprints in index order.
+
+    One ``np.sort`` of the fingerprints with each one's index in their low
+    b bits, b the bit length of n - 1, gives ``order``. Where the high bits
+    tie, the index decided against the low fingerprint bits; a stable sort
+    of the then nearly sorted fingerprints mends those places.
+    """
+    n = len(fp)
+    mask = (np.uint64(1) << np.uint64(max(n - 1, 0).bit_length())) - np.uint64(1)
+    packed = fp & ~mask
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    packed &= mask
+    order = packed.view(np.int64)
+    sorted_fp = fp[order]
+    if (sorted_fp[1:] < sorted_fp[:-1]).any():
+        fix = np.argsort(sorted_fp, kind="stable")
+        order, sorted_fp = order[fix], sorted_fp[fix]
+    return order, sorted_fp
 
 
 class KmerIndex:
@@ -355,10 +393,7 @@ class KmerIndex:
         of their first keys.
         """
         n = len(keys)
-        fp = _fingerprint(keys)
-        order = np.argsort(fp)
-        sorted_fp = fp[order]
-        del fp                  # n words fewer at the peak
+        order, sorted_fp = _sort_by_fingerprint(_fingerprint(keys))
         new = np.ones(n, dtype=bool)
         np.not_equal(sorted_fp[1:], sorted_fp[:-1], out=new[1:])
         index = cls.__new__(cls)
@@ -393,9 +428,9 @@ class KmerIndex:
         if not len(self._fp):
             return out
         fp = _fingerprint(keys)
-        by_fp = np.argsort(fp)
+        by_fp, sorted_needles = _sort_by_fingerprint(fp)
         at = np.empty(len(keys), dtype=np.int64)
-        at[by_fp] = np.searchsorted(self._fp, fp[by_fp])     # sorted needles search fastest
+        at[by_fp] = np.searchsorted(self._fp, sorted_needles)   # sorted needles search fastest
         np.minimum(at, len(self._fp) - 1, out=at)
         q = np.flatnonzero(self._fp[at] == fp)
         cand = self._rows[at[q]]

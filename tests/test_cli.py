@@ -264,6 +264,16 @@ class TestPipelineCommands:
         assert run("identifiability", "--db", str(pipeline_dir / "db.fasta"),
                    "--out", str(pipeline_dir / "x.json")) == 2
 
+    @pytest.mark.parametrize("scan", [[], ["--L-range", "2:3"]], ids=["alone", "with_scan"])
+    def test_identifiability_at_l_zero_exits_2(self, pipeline_dir, capsys, scan):
+        # 0 is a read length to check, not an unset flag
+        out = pipeline_dir / "x.json"
+        assert run("identifiability", "--db", str(pipeline_dir / "db.fasta"), *scan,
+                   "--at-L", "0", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "read length 0 outside" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestErrorHandling:
     def test_missing_database(self, tmp_path):

@@ -348,6 +348,21 @@ class TestPackedKeyOracle:
             tails += any(n < L for n in db.lengths)
         assert tails >= 10
 
+    @pytest.mark.parametrize("L", [40, 70])
+    def test_matches_reference_across_blocks(self, tmp_path, L):
+        # the key, fingerprint and sort passes work one block at a time:
+        # windows over at least three blocks, a uniform-tail species in the
+        # middle and a species sharing windows with another
+        seqs = [r.sequence for r in generate_random_db(80, 700, seed=21).records]
+        seqs[40] = seqs[40][:L - 3]
+        seqs[10] = seqs[60][100:] + seqs[10][:100]
+        db = db_of(*seqs)
+        assert sum(max(n - L + 1, 0) for n in db.lengths) >= 3 * sequence_db._CACHE_BLOCK
+        A = build_matrix(db, L)
+        assert A.n_rows < A.matrix.nnz          # some rows lie in two columns
+        assert_same_matrix(A, reference_build(db, L), tmp_path)
+        np.testing.assert_array_equal(A.index.rows_of(A.index.keys), np.arange(A.n_rows))
+
     @pytest.mark.parametrize("fingerprint", [
         lambda keys: np.zeros(len(keys), dtype=np.uint64),
         lambda keys: keys[:, -1] & np.uint64(3),

@@ -119,6 +119,21 @@ class TestLexCodes:
                 order = np.lexsort(keys.T[::-1])
                 assert [expect[i] for i in order] == sorted(expect)
 
+    @pytest.mark.parametrize("L,order", [*itertools.product((33, 40, 64, 100),
+                                                            ("ascending", "shuffled", "repeated")),
+                                         (7, "repeated")])
+    def test_dense_keys_across_blocks(self, L, order):
+        # the dense branch codes one block of positions and gathers one chunk
+        # of starts at a time, for starts in any order
+        rng = np.random.default_rng(22)
+        seq = "".join("ACGT"[d] for d in rng.integers(0, 4, 5 * sequence_db._CACHE_BLOCK // 2))
+        n = len(seq) - L + 1
+        starts = {"ascending": np.arange(n), "shuffled": rng.permutation(n),
+                  "repeated": rng.integers(0, n, 2 * n)}[order]
+        assert len(starts) * key_words(L) >= len(seq)       # the dense branch
+        keys = kmer_keys(base_digits(seq), L, starts)
+        assert keys_to_codes(keys) == [lex_encode(seq[i:i + L]) for i in starts]
+
     def test_codes_to_keys_rejects_out_of_range(self):
         for bad in (0, 4 ** 3 + 1):
             with pytest.raises(ValueError, match="outside"):
@@ -453,6 +468,26 @@ class TestFingerprint:
         keys = np.arange(1 << 16, dtype=np.uint64).reshape(-1, 1) << np.uint64(48)
         assert len(np.unique(sequence_db._fingerprint(keys))) == len(keys)
 
+    def test_matches_word_loop_across_blocks(self):
+        # the pass works one block of keys at a time: rows at the block edges
+        # and a sample of others against the splitmix64 steps on Python ints
+        def mix(words):
+            h = 0
+            for w in words:
+                h ^= int(w)
+                h = (h ^ h >> 30) * 0xBF58476D1CE4E5B9 % 2 ** 64
+                h = (h ^ h >> 27) * 0x94D049BB133111EB % 2 ** 64
+                h ^= h >> 31
+            return h
+
+        block = sequence_db._CACHE_BLOCK
+        rng = np.random.default_rng(23)
+        keys = rng.integers(0, 2 ** 64, size=(5 * block // 2, 3), dtype=np.uint64)
+        rows = np.union1d(rng.integers(0, len(keys), 300),
+                          [0, block - 1, block, 2 * block - 1, 2 * block, len(keys) - 1])
+        fp = sequence_db._fingerprint(keys)
+        assert fp[rows].tolist() == [mix(keys[r]) for r in rows]
+
 
 def reference_first_seen(keys):
     """KmerIndex.first_seen as it was before its linear ranking: a second
@@ -527,6 +562,21 @@ class TestFirstSeenOracle:
         # eight fingerprints for all keys: nearly every group holds
         # different keys, so the keys are sorted by their words
         monkeypatch.setattr(sequence_db, "_fingerprint", lambda k: k[:, -1] & np.uint64(7))
+        self.check(keys)
+
+    @pytest.mark.parametrize("keys", list(first_seen_cases()))
+    def test_matches_reference_when_index_bits_decide(self, monkeypatch, keys):
+        # fingerprints below 2^16 whose low bits run against index order:
+        # where the bits above the packed index tie, one sort leaves them in
+        # index order and the stable sort after it must mend that
+        def fingerprint(k):
+            return ~k[:, -1] & np.uint64(0xFFFF)
+
+        fp = fingerprint(keys)
+        high = fp >> np.uint64(max(len(keys) - 1, 0).bit_length())
+        by_high = fp[np.lexsort((np.arange(len(keys)), high))]
+        assert (by_high[1:] < by_high[:-1]).any() or len(np.unique(fp)) <= 3
+        monkeypatch.setattr(sequence_db, "_fingerprint", fingerprint)
         self.check(keys)
 
 
