@@ -22,7 +22,7 @@ from .mixture_sim import MixtureSpec, ReadCounts, empirical_frequencies, \
     read_counts_from_reads, sample_power_law_mixture, simulate_reads
 from .read_matrix import ReadSamplingMatrix, build_matrix
 from .reconstruct import DncParams, divide_and_conquer, load_estimate
-from .sequence_db import parse_fasta
+from .sequence_db import check_read_length, parse_fasta
 
 logger = logging.getLogger(__name__)
 
@@ -66,6 +66,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_identifiability(args) -> int:
+    if args.at_l is not None:       # refuse it before the scan, not after
+        check_read_length(args.at_l)
     db = parse_fasta(args.db, drop_ambiguous=True)
     out = {}
     if args.l_range:

@@ -350,7 +350,8 @@ def _sort_by_fingerprint(fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One ``np.sort`` of the fingerprints with each one's index in their low
     b bits, b the bit length of n - 1, gives ``order``. Where the high bits
     tie, the index decided against the low fingerprint bits; a stable sort
-    of the then nearly sorted fingerprints mends those places.
+    of just those tied groups mends them, so the extra memory is bounded by
+    the groups, not by n.
     """
     n = len(fp)
     mask = (np.uint64(1) << np.uint64(max(n - 1, 0).bit_length())) - np.uint64(1)
@@ -360,9 +361,19 @@ def _sort_by_fingerprint(fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed &= mask
     order = packed.view(np.int64)
     sorted_fp = fp[order]
-    if (sorted_fp[1:] < sorted_fp[:-1]).any():
-        fix = np.argsort(sorted_fp, kind="stable")
-        order, sorted_fp = order[fix], sorted_fp[fix]
+    bad = np.flatnonzero(sorted_fp[1:] < sorted_fp[:-1])
+    if len(bad):
+        high = np.unique(sorted_fp[bad] & ~mask)
+        # sorted_fp is sorted by its high bits, so "< high" and "<= high | mask"
+        # each hold on a prefix: bisection finds each group's bounds exactly
+        lo = np.searchsorted(sorted_fp, high, side="left")
+        size = np.searchsorted(sorted_fp, high | mask, side="right") - lo
+        at = np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
+        # the groups stand in ascending high bits, so one stable sort of
+        # their fingerprints keeps them apart and in place
+        fix = np.argsort(sorted_fp[at], kind="stable")
+        sorted_fp[at] = sorted_fp[at[fix]]
+        order[at] = order[at[fix]]
     return order, sorted_fp
 
 
@@ -373,9 +384,8 @@ class KmerIndex:
 
     def __init__(self, keys: np.ndarray):
         """Index the rows of ``keys``, which must be distinct."""
-        fp = _fingerprint(keys)
-        order = np.argsort(fp)
-        self._adopt(keys, fp[order], order)
+        order, sorted_fp = _sort_by_fingerprint(_fingerprint(keys))
+        self._adopt(keys, sorted_fp, order)
 
     def _adopt(self, keys, sorted_fp, sorted_rows):
         self.keys = keys

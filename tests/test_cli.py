@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from readprofiler import identifiability
+from readprofiler import cli, identifiability
 from readprofiler.cli import main
 from readprofiler.sequence_db import parse_fasta
 
@@ -273,6 +273,14 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert "read length 0 outside" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_identifiability_refuses_at_l_before_the_scan(self, pipeline_dir, monkeypatch):
+        def scan(*_):
+            raise AssertionError("the scan ran before --at-L was checked")
+        monkeypatch.setattr(cli, "critical_read_length_scan", scan)
+        assert run("identifiability", "--db", str(pipeline_dir / "db.fasta"),
+                   "--L-range", "2:3", "--at-L", "0",
+                   "--out", str(pipeline_dir / "x.json")) == 2
 
 
 class TestErrorHandling:

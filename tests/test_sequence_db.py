@@ -580,6 +580,24 @@ class TestFirstSeenOracle:
         self.check(keys)
 
 
+@pytest.mark.parametrize("fp", [
+    np.zeros(0, dtype=np.uint64),
+    np.full(5, 9, dtype=np.uint64),
+    np.arange(300, dtype=np.uint64)[::-1].copy(),             # one group, all out of order
+    np.array([7, 5, 7, 0, 3], dtype=np.uint64),                # low bits all ones lead the group
+    (np.arange(1000, dtype=np.uint64) % np.uint64(7)) << np.uint64(20)
+    | (np.uint64(4095) - np.arange(1000, dtype=np.uint64) % np.uint64(4096)),
+    np.random.default_rng(3).integers(0, 1 << 14, 2000, dtype=np.uint64),
+], ids=["empty", "all_equal", "descending", "top_low_bits", "groups_reversed", "random_14_bits"])
+def test_sort_by_fingerprint_matches_stable_argsort(fp):
+    # mended groups must keep equal fingerprints in index order and stay
+    # where their high bits place them
+    order, sorted_fp = sequence_db._sort_by_fingerprint(fp)
+    expected = np.argsort(fp, kind="stable")
+    assert np.array_equal(order, expected)
+    assert np.array_equal(sorted_fp, fp[expected])
+
+
 #: gzip damage: the bytes of a damaged copy of a compressed file, and the
 #: error gzip.decompress raises for them
 GZIP_DAMAGE = {
