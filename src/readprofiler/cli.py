@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import metrics
@@ -72,7 +73,7 @@ def cmd_identifiability(args) -> int:
     out = {}
     if args.l_range:
         scan = critical_read_length_scan(db, *args.l_range)
-        out["scan"] = scan.to_dict()
+        out["scan"] = asdict(scan)
     if args.at_l is not None:
         report = analyze(build_matrix(db, args.at_l))
         out["at_read_length"] = {

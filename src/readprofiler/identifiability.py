@@ -226,16 +226,6 @@ class ScanResult:
     substring_pairs: list[tuple[int, int]] = field(default_factory=list)
     monotonicity_violations: list[int] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "read_lengths": self.read_lengths,
-            "fractions": self.fractions,
-            "fully_identifiable": self.fully_identifiable,
-            "critical_length": self.critical_length,
-            "substring_pairs": [list(p) for p in self.substring_pairs],
-            "monotonicity_violations": self.monotonicity_violations,
-        }
-
 
 def critical_read_length_scan(db: SequenceDatabase, l_lo: int, l_hi: int) -> ScanResult:
     """Scan read lengths, reporting identifiable fractions and the smallest

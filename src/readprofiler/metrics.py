@@ -8,7 +8,7 @@ the N x N weight matrix is never materialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -100,17 +100,11 @@ class EvaluationResult:
     n_reads: int
 
     def to_dict(self) -> dict:
-        def _num(v):
-            return None if v is None else (v if math.isfinite(v) else "inf")
-        return {
-            "l2_error": self.l2_error,
-            "mahalanobis_error": self.mahalanobis_error,
-            "l2_bound": _num(self.l2_bound),
-            "mahalanobis_bound": self.mahalanobis_bound,
-            "delta": self.delta,
-            "lambda_min": self.lambda_min,
-            "n_reads": self.n_reads,
-        }
+        """The fields, with an infinite ``l2_bound`` written as ``"inf"``."""
+        d = asdict(self)
+        if not math.isfinite(self.l2_bound):
+            d["l2_bound"] = "inf"
+        return d
 
 
 def evaluate(x_true, x_hat, A: ReadSamplingMatrix, n_reads: int,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .read_matrix import SIMPLEX_TOL, FrequencyVector, ReadSamplingMatrix, reweight_to_dna
+from .read_matrix import FrequencyVector, ReadSamplingMatrix, reweight_to_dna
 from .sequence_db import (
     ALPHABET,
     KmerIndex,
@@ -60,8 +60,8 @@ class MixtureSpec:
             raise ValueError("support ids must be distinct")
         if len(self.support) != len(self.frequencies):
             raise ValueError("support and frequencies differ in length")
-        if np.any(self.frequencies < 0) or abs(self.frequencies.sum() - 1.0) > SIMPLEX_TOL:
-            raise ValueError("frequencies must be nonnegative and sum to 1")
+        # finite, nonnegative and summing to 1: the rule of a normalized vector
+        FrequencyVector(self.frequencies, normalized=True)
 
     def full_vector(self, n_species: int) -> FrequencyVector:
         if np.any(self.support < 1) or np.any(self.support > n_species):
@@ -96,10 +96,9 @@ def check_mixture_params(n: int, k: int, alpha: float) -> None:
         raise ValueError("alpha must be >= 0")
 
 
-def sample_power_law_mixture(db, k: int, alpha: float, seed: int) -> MixtureSpec:
-    """Pick k distinct species uniformly at random and give the i-th chosen
+def sample_power_law_mixture(n: int, k: int, alpha: float, seed: int) -> MixtureSpec:
+    """Pick k of the n species uniformly at random and give the i-th chosen
     species unnormalized weight i^(-alpha), then normalize."""
-    n = db if isinstance(db, (int, np.integer)) else len(db)
     check_mixture_params(n, k, alpha)
     rng = np.random.default_rng(seed)
     support = rng.choice(n, size=k, replace=False) + 1

@@ -162,14 +162,11 @@ def nnls_solve(A_sub, y, kkt_tol: float = DEFAULT_KKT_TOL,
         raise ValueError(f"A has {A_sub.shape[0]} rows but y has {len(y)}")
     if np.any(y < 0):
         raise ValueError("y must be nonnegative")
-    if sp.issparse(A_sub):
-        G = np.asarray((A_sub.T @ A_sub).todense())
-        b = np.asarray(A_sub.T @ y).ravel()
-    else:
+    if not sp.issparse(A_sub):
         A_sub = np.asarray(A_sub, dtype=float)
-        G = A_sub.T @ A_sub
-        b = A_sub.T @ y
-    sol = nnls_from_gram(G, b, kkt_tol=kkt_tol, max_iter=max_iter)
+    G = A_sub.T @ A_sub
+    sol = nnls_from_gram(G.toarray() if sp.issparse(G) else G, A_sub.T @ y,
+                         kkt_tol=kkt_tol, max_iter=max_iter)
     sol.residual_norm = residual_norm(A_sub, sol.x, y)
     return sol
 

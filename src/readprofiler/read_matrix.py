@@ -28,8 +28,7 @@ from .sequence_db import (
     require_fields,
 )
 
-COLUMN_SUM_TOL = 1e-12
-SIMPLEX_TOL = 1e-12
+SIMPLEX_TOL = 1e-12   # how far a frequency vector's or a column's sum may be off 1
 
 #: Columns with n_j < L expand into 4^(L - n_j) tail reads; refuse to blow up.
 MAX_TAIL_LENGTH = 12
@@ -155,8 +154,8 @@ class ReadSamplingMatrix:
         return np.asarray(self.matrix.sum(axis=0)).ravel()
 
     def columns_off_one(self) -> np.ndarray:
-        """The columns whose sum is off 1 by more than ``COLUMN_SUM_TOL``."""
-        return np.flatnonzero(np.abs(self.column_sums() - 1.0) > COLUMN_SUM_TOL)
+        """The columns whose sum is off 1 by more than ``SIMPLEX_TOL``."""
+        return np.flatnonzero(np.abs(self.column_sums() - 1.0) > SIMPLEX_TOL)
 
     # -- serialization -----------------------------------------------------
 
@@ -205,7 +204,7 @@ class ReadSamplingMatrix:
         file, unless it holds what :func:`build_matrix` guarantees: distinct
         row codes in [1, 4^L], entries in strictly increasing (row, col)
         order with finite positive values, and columns that sum to 1 within
-        ``COLUMN_SUM_TOL``."""
+        ``SIMPLEX_TOL``."""
         data = Path(path).read_bytes()
         line_end = data.find(b"\n")
         try:
@@ -262,7 +261,7 @@ class ReadSamplingMatrix:
                   index, col_lengths)
         bad = out.columns_off_one()
         if len(bad):
-            raise ValueError(f"column sums off by more than {COLUMN_SUM_TOL}: {bad}")
+            raise ValueError(f"column sums off by more than {SIMPLEX_TOL}: {bad}")
         return out
 
 
@@ -329,7 +328,7 @@ def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
     out = ReadSamplingMatrix(read_length, matrix, index, lengths)
     bad = out.columns_off_one()
     if len(bad):
-        raise AssertionError(f"column sums off by more than {COLUMN_SUM_TOL}: {bad}")
+        raise AssertionError(f"column sums off by more than {SIMPLEX_TOL}: {bad}")
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +44,6 @@ class DncParams:
         if self.schedule is not None and any(k < 1 for k in self.schedule):
             raise ValueError("schedule repetitions must be >= 1")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class IterationStats:
@@ -66,7 +63,6 @@ class ReconstructionReport:
     iterations: list[IterationStats]
     final_solver: dict | None
     params: DncParams
-    seed: int
     empty: bool = False
 
     def to_dict(self) -> dict:
@@ -79,8 +75,8 @@ class ReconstructionReport:
                                 if self.x_hat_dna is not None else None),
             "iterations": [vars(it) for it in self.iterations],
             "final_solver": self.final_solver,
-            "params": self.params.to_dict(),
-            "seed": self.seed,
+            "params": asdict(self.params),
+            "seed": self.params.seed,
             "empty": self.empty,
         }
 
@@ -212,18 +208,12 @@ def divide_and_conquer(A: ReadSamplingMatrix, y, params: DncParams | None = None
         iterations=iterations,
         final_solver=_solver_diag(sol),
         params=params,
-        seed=params.seed,
     )
 
 
 def _solver_diag(sol: NnlsSolution) -> dict:
-    return {
-        "residual_norm": sol.residual_norm,
-        "kkt_residual": sol.kkt_residual,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-        "rank_deficient": sol.rank_deficient,
-    }
+    """Every field of ``sol`` but its solution vector."""
+    return {f.name: getattr(sol, f.name) for f in fields(sol) if f.name != "x"}
 
 
 def _empty_report(A: ReadSamplingMatrix, iterations, params: DncParams,
@@ -236,6 +226,5 @@ def _empty_report(A: ReadSamplingMatrix, iterations, params: DncParams,
         iterations=iterations,
         final_solver=_solver_diag(final) if final is not None else None,
         params=params,
-        seed=params.seed,
         empty=True,
     )

@@ -254,7 +254,7 @@ def reference_dnc(A, y, params):
     return ReconstructionReport(
         x_hat=unweight_from_dna(x_dna, A.col_lengths), x_hat_dna=x_dna,
         support=np.where(x_full > X_TOL)[0] + 1, iterations=iterations,
-        final_solver=_solver_diag(sol), params=params, seed=params.seed)
+        final_solver=_solver_diag(sol), params=params)
 
 
 def family_db(families, members, length, seed):
