@@ -21,8 +21,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .read_matrix import ReadSamplingMatrix, build_matrix
-from .sequence_db import SequenceDatabase
+from .read_matrix import ReadSamplingMatrix, build_matrix, check_tail_expansion
+from .sequence_db import SequenceDatabase, check_read_length
 
 logger = logging.getLogger(__name__)
 
@@ -234,10 +234,13 @@ def critical_read_length_scan(db: SequenceDatabase, l_lo: int, l_hi: int) -> Sca
     The theory assumes no sequence is a substring of another; a violation is
     reported and the scan still runs. Identifiability must be monotone in L
     for substring-free databases; violations of the scan's monotonicity check
-    are recorded as errors.
+    are recorded as errors. The top read length is checked, read-length
+    and tail rules both, before any matrix is built.
     """
     if l_lo < 1 or l_hi < l_lo:
         raise ValueError(f"bad read-length range [{l_lo}, {l_hi}]")
+    check_read_length(l_hi)
+    check_tail_expansion(db, l_hi)
     pairs = find_substring_pairs(db)
     if pairs:
         logger.warning("database has %d substring pairs; scan results may not be monotone",

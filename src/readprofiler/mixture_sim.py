@@ -84,8 +84,11 @@ class MixtureSpec:
     @classmethod
     def load(cls, path) -> "MixtureSpec":
         d = read_json(path, support=list[int], frequencies=list[float])
-        return cls(np.array(d["support"]), np.array(d["frequencies"]),
-                   d.get("seed", 0), d.get("generator_tag", "manual"))
+        try:
+            return cls(np.array(d["support"]), np.array(d["frequencies"]),
+                       d.get("seed", 0), d.get("generator_tag", "manual"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def check_mixture_params(n: int, k: int, alpha: float) -> None:

@@ -30,7 +30,8 @@ from .sequence_db import (
 
 SIMPLEX_TOL = 1e-12   # how far a frequency vector's or a column's sum may be off 1
 
-#: Columns with n_j < L expand into 4^(L - n_j) tail reads; refuse to blow up.
+#: Columns with n_j < L expand into 4^(L - n_j) tail reads; refuse to blow up:
+#: no tail may be longer, nor all tails together hold more than 4^MAX_TAIL_LENGTH.
 MAX_TAIL_LENGTH = 12
 
 TAIL_CONVENTION = "uniform-tail"
@@ -58,7 +59,8 @@ class FrequencyVector:
         if self.kind not in ("species", "dna"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.normalized and abs(self.values.sum() - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"vector flagged normalized but sums to {self.values.sum()!r}")
+            raise ValueError(f"vector flagged normalized but sums to "
+                             f"{float(self.values.sum())!r}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -285,6 +287,7 @@ def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
         rec = db.records[j]
         raise ValueError(f"species {rec.id} ({rec.label!r}): invalid character "
                          f"{rec.sequence[bad[0] - offsets[j]]!r} (expected one of ACGT)")
+    check_tail_expansion(db, read_length)
 
     # reads per column: every window of a species at least read_length long,
     # in column order; a shorter species' tails are filled in below
@@ -297,12 +300,6 @@ def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
         blocks = np.split(keys, firsts[1:])
         for j in tails:
             tail_len = read_length - int(lengths[j])
-            if tail_len > MAX_TAIL_LENGTH:
-                rec = db.records[j]
-                raise ValueError(
-                    f"species {rec.id} ({rec.label!r}): read length exceeds sequence "
-                    f"length by {tail_len} > {MAX_TAIL_LENGTH}; tail expansion refused"
-                )
             # the sequence, then every tail; the tail fits in the last word
             head = base_digits(db.records[j].sequence + "A" * tail_len)
             n_reads[j] = 4 ** tail_len
@@ -330,6 +327,26 @@ def build_matrix(db: SequenceDatabase, read_length: int) -> ReadSamplingMatrix:
     if len(bad):
         raise AssertionError(f"column sums off by more than {SIMPLEX_TOL}: {bad}")
     return out
+
+
+def check_tail_expansion(db: SequenceDatabase, read_length: int) -> None:
+    """ValueError for the first species of ``db`` shorter than ``read_length``
+    by more than ``MAX_TAIL_LENGTH`` bases, else for uniform tails that
+    together expand into more than 4^MAX_TAIL_LENGTH reads. Tails only grow
+    with the read length, so the top of a range vouches for all of it."""
+    tail_lens = read_length - np.array(db.lengths, dtype=np.int64)
+    over = np.flatnonzero(tail_lens > MAX_TAIL_LENGTH)
+    if over.size:
+        rec = db.records[over[0]]
+        raise ValueError(f"species {rec.id} ({rec.label!r}): read length exceeds sequence "
+                         f"length by {tail_lens[over[0]]} > {MAX_TAIL_LENGTH}; "
+                         f"tail expansion refused")
+    tail_lens = tail_lens[tail_lens > 0]
+    total = int((4 ** tail_lens).sum())
+    if total > 4 ** MAX_TAIL_LENGTH:
+        raise ValueError(f"{len(tail_lens)} species shorter than read length {read_length} "
+                         f"expand into {total} tail reads > 4^{MAX_TAIL_LENGTH}; "
+                         f"tail expansion refused")
 
 
 def reweight_to_dna(x: FrequencyVector, col_lengths) -> FrequencyVector:

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from readprofiler import cli, identifiability
+from readprofiler import cli, identifiability, read_matrix
 from readprofiler.cli import main
+from readprofiler.read_matrix import ReadSamplingMatrix
 from readprofiler.sequence_db import parse_fasta
 
 
@@ -274,6 +275,67 @@ class TestPipelineCommands:
         assert "read length 0 outside" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("l_range,why", [
+        ("2:73", "species 1 ('rand_000001'): read length exceeds sequence length by 13 > 12; "
+                 "tail expansion refused"),
+        ("2:70", "30 species shorter than read length 70 expand into 31457280 tail reads "
+                 "> 4^12; tail expansion refused"),
+        ("2:600", "read length 600 outside [1, 512]"),
+    ], ids=["tail_past_cap", "tails_past_cap_together", "past_code_length"])
+    def test_identifiability_refuses_top_length_before_any_matrix(
+            self, pipeline_dir, capsys, monkeypatch, l_range, why):
+        # the database holds 30 sequences of 60 bases
+        def no_matrix(*_):
+            raise AssertionError("a matrix was built before the top read length was checked")
+        monkeypatch.setattr(identifiability, "build_matrix", no_matrix)
+        out = pipeline_dir / "x.json"
+        assert run("identifiability", "--db", str(pipeline_dir / "db.fasta"),
+                   "--L-range", l_range, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {why}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_identifiability_writes_substring_pairs(self, tmp_path):
+        db, out = tmp_path / "db.fasta", tmp_path / "ident.json"
+        db.write_text(">a\nACGTACGT\n>b\nGTAC\n")
+        assert run("identifiability", "--db", str(db), "--L-range", "2:3",
+                   "--out", str(out)) == 0
+        assert json.loads(out.read_text())["scan"]["substring_pairs"] == [[2, 1]]
+
+    def test_build_matrix_drop_ambiguous(self, tmp_path, capsys):
+        db, out = tmp_path / "db.fasta", tmp_path / "m.rsm"
+        db.write_text(">a\nACGTACGT\n>b\nACGNACGT\n>c\nTTGACCAG\n")
+        assert run("build-matrix", "--db", str(db), "--read-len", "4", "--out", str(out)) == 2
+        assert f"error: {db}: record 'b' contains 'N'" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("build-matrix", "--db", str(db), "--read-len", "4", "--drop-ambiguous",
+                   "--out", str(out)) == 0
+        assert ReadSamplingMatrix.load(out).n_species == 2
+
+    def test_reconstruct_tau_and_kf_reach_params(self, pipeline_dir, tmp_path):
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--matrix", str(pipeline_dir / "matrix.bin"),
+                   "--reads", str(pipeline_dir / "reads.tsv"), "--tau", "0.01", "--kf", "5",
+                   "--seed", "3", "--out", str(est)) == 0
+        report = json.loads(est.read_text())
+        assert report["params"]["tau"] == 0.01 and report["params"]["k_final"] == 5
+        assert report["seed"] == report["params"]["seed"] == 3
+
+    @pytest.mark.parametrize("frequencies,why", [
+        ([float("nan"), 0.5], "frequency vector must be finite"),
+        ([-0.5, 1.5], "frequency vector must be nonnegative"),
+        ([0.5, 0.6], "vector flagged normalized but sums to 1.1"),
+    ], ids=["nan", "negative", "sum_1_1"])
+    def test_bad_truth_frequencies_exit_2_naming_file(self, pipeline_dir, tmp_path, capsys,
+                                                      frequencies, why):
+        truth, out = tmp_path / "bad_truth.json", tmp_path / "bad_reads.tsv"
+        truth.write_text(json.dumps({"support": [1, 2], "frequencies": frequencies}))
+        assert run("simulate", "--matrix", str(pipeline_dir / "matrix.bin"), "--reads", "100",
+                   "--truth", str(truth), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {truth}: {why}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_identifiability_refuses_at_l_before_the_scan(self, pipeline_dir, monkeypatch):
         def scan(*_):
             raise AssertionError("the scan ran before --at-L was checked")
@@ -301,6 +363,19 @@ class TestErrorHandling:
         assert ("error: species 2 ('short'): read length exceeds sequence length by 13 > 12; "
                 "tail expansion refused") in err and "Traceback" not in err
         assert not (tmp_path / "m.rsm").exists()
+
+    def test_tails_past_the_cap_together_exit_2(self, tmp_path, capsys, monkeypatch):
+        def no_keys(*_):
+            raise AssertionError("a k-mer key was built before the tails were checked")
+        monkeypatch.setattr(read_matrix, "kmer_keys", no_keys)
+        db, out = tmp_path / "short.fasta", tmp_path / "short.rsm"
+        assert run("random-db", "--n", "20", "--length", "30", "--seed", "5",
+                   "--out", str(db)) == 0
+        assert run("build-matrix", "--db", str(db), "--read-len", "40", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert ("error: 20 species shorter than read length 40 expand into 20971520 tail "
+                "reads > 4^12; tail expansion refused") in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("read_length", [0, -3, 513])
     def test_counts_read_length_out_of_range_exits_2(self, pipeline_dir, tmp_path,

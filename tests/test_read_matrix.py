@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from readprofiler import sequence_db
+from readprofiler import read_matrix, sequence_db
 from readprofiler.cli import main
 from readprofiler.experiments import generate_random_db
 from readprofiler.metrics import gram_lambda_min
@@ -115,6 +115,23 @@ class TestBuildMatrix:
                 "species 2 ('seq_2'): read length exceeds sequence length by 13 > 12; "
                 "tail expansion refused")):
             build_matrix(db_of("ACGTACGTACGTACGTACGT", "ACGTA"), 18)
+
+    def test_rejects_tails_past_the_cap_together_before_any_key(self, monkeypatch):
+        # each tail of 10 bases is within the cap, but the 20 of them would
+        # expand into 20 * 4**10 = 21M rows
+        def no_keys(*_):
+            raise AssertionError("a k-mer key was built before the tails were checked")
+        monkeypatch.setattr(read_matrix, "kmer_keys", no_keys)
+        with pytest.raises(ValueError, match=re.escape(
+                "20 species shorter than read length 40 expand into 20971520 tail reads "
+                "> 4^12; tail expansion refused")):
+            build_matrix(generate_random_db(20, 30, seed=5), 40)
+
+    def test_tail_total_refused_only_past_the_cap(self):
+        # four tails of 11 bases hold 4**12 reads together, the most allowed
+        read_matrix.check_tail_expansion(db_of("AC", "CA", "GT", "TG", "A" * 20), 13)
+        with pytest.raises(ValueError, match="5 species shorter than read length 13"):
+            read_matrix.check_tail_expansion(db_of("AC", "CA", "GT", "TG", "ACG"), 13)
 
     def test_oracle_equivalence_random_small(self):
         rng = np.random.default_rng(42)
