@@ -23,7 +23,7 @@ from .mixture_sim import MixtureSpec, ReadCounts, empirical_frequencies, \
     read_counts_from_reads, sample_power_law_mixture, simulate_reads
 from .read_matrix import ReadSamplingMatrix, build_matrix
 from .reconstruct import DncParams, divide_and_conquer, load_estimate
-from .sequence_db import check_read_length, parse_fasta
+from .sequence_db import check_read_length, parse_fasta, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -121,38 +121,22 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    overrides = {
-        "output_dir": args.out_dir,
-        "seed": args.seed,
-        "workers": args.workers,
-    }
-    if args.config:
-        return ExperimentConfig.from_json(args.config, **overrides)
-    return ExperimentConfig(
-        random_db={"n": args.n, "length": args.length, "seed": args.seed or 0},
-        **{k: v for k, v in overrides.items() if v is not None},
-    )
-
-
 def cmd_experiment(args) -> int:
+    if args.config:
+        fields = read_json(args.config)
+    else:
+        fields = {"random_db": {"n": args.n, "length": args.length, "seed": args.seed or 0}}
+    flags = {"output_dir": args.out_dir, "seed": args.seed, "workers": args.workers}
+    fields.update({k: v for k, v in flags.items() if v is not None})
     try:
-        cfg = _experiment_config(args)
-    except (ValueError, TypeError, FileNotFoundError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
+        cfg = ExperimentConfig(**fields)
+    except TypeError as exc:        # an unknown field, of the config or of its dnc
+        raise ValueError(str(exc)) from None
     # the runners refuse what the config asks of its database (k above N, a
     # bad read-length range) before they make the output directory
-    try:
-        if args.which == "error-vs-reads":
-            n_failed = run_error_vs_reads(cfg)[2]
-        else:
-            run_identifiability_scan(cfg)
-            n_failed = 0
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
-    if n_failed:
+    if args.which == "ident-scan":
+        run_identifiability_scan(cfg)
+    elif n_failed := run_error_vs_reads(cfg)[2]:
         print(f"{n_failed} trials failed; summary still written", file=sys.stderr)
         return 3
     print(f"experiment outputs in {cfg.output_dir}")
@@ -245,8 +229,9 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:    # a refusal; a missing file is an OSError
+        prefix = "invalid config" if args.command == "experiment" else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return 2
 
 

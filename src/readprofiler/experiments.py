@@ -25,7 +25,7 @@ from .mixture_sim import check_mixture_params, empirical_frequencies, \
 from .read_matrix import ReadSamplingMatrix, build_matrix
 from .reconstruct import DncParams, divide_and_conquer
 from .sequence_db import ALPHABET, SequenceDatabase, check_read_length, parse_fasta, \
-    read_json, require_fields
+    require_fields
 
 logger = logging.getLogger(__name__)
 
@@ -116,12 +116,6 @@ class ExperimentConfig:
                 raise ValueError("workers must be >= 1")
         self.dnc_params()  # rejects unknown or invalid DncParams fields
 
-    @classmethod
-    def from_json(cls, path, **overrides) -> "ExperimentConfig":
-        data = read_json(path)
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**data)
-
     def to_dict(self) -> dict:
         # destination and parallelism do not influence results, so they are
         # kept out of persisted configs and of the config hash: the same
@@ -198,6 +192,23 @@ def _run_trial(job: tuple[int, int, int]) -> dict:
     return row
 
 
+def _write_artifacts(cfg: ExperimentConfig, tables: dict, summary_name: str, **fields):
+    """Make the output directory, write each CSV table ``name: (rows, columns)``
+    headed by its columns or else its first row's keys, then the JSON summary:
+    the config, its hash and ``fields``."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (rows, columns) in tables.items():
+        with open(out / name, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=columns or list(rows[0]),
+                                    extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+    (out / summary_name).write_text(json.dumps(
+        {"config": cfg.to_dict(), "config_hash": cfg.config_hash(), **fields},
+        indent=2) + "\n")
+
+
 def run_error_vs_reads(cfg: ExperimentConfig):
     """Run the reconstruction-error experiment over the read-count grid.
 
@@ -224,13 +235,6 @@ def run_error_vs_reads(cfg: ExperimentConfig):
         rows = [_run_trial(job) for job in jobs]
     rows.sort(key=lambda r: (r["n_reads"], r["trial"]))
 
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "trials.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRIAL_FIELDS, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
-
     summary_rows = []
     for n_reads in cfg.r_grid:
         ok = [r for r in rows if r["n_reads"] == n_reads and not r["failed"]]
@@ -246,19 +250,11 @@ def run_error_vs_reads(cfg: ExperimentConfig):
             "l2_bound": f"{metrics.l2_error_bound(n_reads, cfg.delta, lam):.10e}",
             "mahalanobis_bound": f"{metrics.mahalanobis_error_bound(n_reads, cfg.delta):.10e}",
         })
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(summary_rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(summary_rows)
-
     n_failed = sum(r["failed"] for r in rows)
-    (out / "summary.json").write_text(json.dumps({
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "lambda_min": lam,
-        "n_failed": n_failed,
-        "summary": summary_rows,
-    }, indent=2) + "\n")
+    _write_artifacts(cfg, {"trials.csv": (rows, TRIAL_FIELDS),
+                           "summary.csv": (summary_rows, None)},
+                     "summary.json", lambda_min=lam, n_failed=n_failed,
+                     summary=summary_rows)
     return rows, summary_rows, n_failed
 
 
@@ -287,17 +283,7 @@ def run_identifiability_scan(cfg: ExperimentConfig):
         scan_ctl.fractions, scan_ctl.fully_identifiable)]
     violations = sorted({*scan_db.monotonicity_violations, *scan_ctl.monotonicity_violations})
     critical = scan_db.critical_length
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "scan.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    (out / "scan.json").write_text(json.dumps({
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "critical_length_db": critical,
-        "monotonicity_violations": violations,
-        "rows": rows,
-    }, indent=2) + "\n")
+    _write_artifacts(cfg, {"scan.csv": (rows, None)}, "scan.json",
+                     critical_length_db=critical, monotonicity_violations=violations,
+                     rows=rows)
     return rows, critical, violations
