@@ -57,10 +57,10 @@ def cmd_simulate(args) -> int:
         mixture = MixtureSpec.load(args.truth)
     else:
         mixture = sample_power_law_mixture(A.n_species, args.k, args.alpha, args.seed)
-        if args.truth_out:
-            mixture.save(args.truth_out)
     x = mixture.full_vector(A.n_species)
     rc = simulate_reads(A, x, args.reads, args.seed)
+    if args.truth_out and not args.truth:   # after the reads: a refused run writes none
+        mixture.save(args.truth_out)
     rc.save(args.out)
     print(f"simulated {rc.total} reads, {rc.n_distinct} distinct")
     return 0
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200, help="random db size (no config)")
     p.add_argument("--length", type=int, default=100)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir", default="out")
+    p.add_argument("--out-dir", help="overrides the config's output_dir (default out)")
     p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_experiment)
 

@@ -1,9 +1,10 @@
+import csv
 import gzip
 import json
 
 import pytest
 
-from readprofiler import cli, identifiability, read_matrix
+from readprofiler import cli, experiments, identifiability, read_matrix
 from readprofiler.cli import main
 from readprofiler.read_matrix import ReadSamplingMatrix
 from readprofiler.sequence_db import parse_fasta
@@ -350,6 +351,35 @@ class TestErrorHandling:
         assert run("build-matrix", "--db", str(tmp_path / "none.fasta"),
                    "--read-len", "4", "--out", str(tmp_path / "m.bin")) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("build-matrix", "--db", "{dir}", "--read-len", "4", "--out", "{tmp}/m.rsm"),
+        ("build-matrix", "--db", "{tmp}/db.fasta", "--read-len", "4", "--out", "{dir}"),
+        ("reconstruct", "--matrix", "{tmp}/m.rsm", "--reads", "{dir}",
+         "--out", "{tmp}/est.json"),
+        ("experiment", "ident-scan", "--config", "{dir}", "--out-dir", "{tmp}/out"),
+    ], ids=["db", "out", "reads", "config"])
+    def test_directory_path_exits_2_naming_it(self, tmp_path, capsys, argv):
+        (tmp_path / "db.fasta").write_text(">a\nACGTACGT\n>b\nTTGACCAG\n")
+        assert run("build-matrix", "--db", str(tmp_path / "db.fasta"), "--read-len", "4",
+                   "--out", str(tmp_path / "m.rsm")) == 0
+        directory = tmp_path / "a dir"
+        directory.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(*(a.format(dir=directory, tmp=tmp_path) for a in argv)) == 2
+        err = capsys.readouterr().err
+        prefix = "invalid config" if argv[0] == "experiment" else "error"
+        assert f"{prefix}: [Errno 21] Is a directory: '{directory}'" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_refused_simulate_writes_nothing(self, pipeline_dir, tmp_path, capsys):
+        truth, reads = tmp_path / "t.json", tmp_path / "r.tsv"
+        assert run("simulate", "--matrix", str(pipeline_dir / "matrix.bin"), "--reads", "0",
+                   "--k", "2", "--truth-out", str(truth), "--out", str(reads)) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not truth.exists() and not reads.exists()
+
     def test_bad_random_db_args(self, tmp_path):
         assert run("random-db", "--n", "0", "--length", "10",
                    "--out", str(tmp_path / "db.fasta")) == 2
@@ -446,12 +476,19 @@ class TestErrorHandling:
          "read length 0 outside [1, 512]"),
         ({"random_db": {"n": 5, "length": 20}, "k": 2, "read_length": 600},
          "read length 600 outside [1, 512]"),
+        ({"random_db": {"n": 5, "length": 20}, "r_grid": [100, 100]},
+         "r_grid must be strictly increasing and positive"),
+        ({"random_db": {"n": 5, "length": 20}, "delta": 1.5}, "delta must be in (0, 1)"),
+        ({"k": 2}, "config needs either db_fasta or random_db"),
+        ({"random_db": {"n": 5, "length": 20}, "foo": 1},
+         "ExperimentConfig.__init__() got an unexpected keyword argument 'foo'"),
     ], ids=["no_n", "no_length", "string_length", "list_random_db", "list", "not_json",
             "string_read_length", "string_db_seed", "float_k", "string_alpha", "int_db_fasta",
             "string_r_grid", "int_r_grid", "list_dnc", "string_block_size", "null_tau",
             "float_schedule", "short_l_range", "string_l_range", "int_l_range",
             "string_workers", "zero_workers", "negative_workers", "zero_read_length",
-            "long_read_length"])
+            "long_read_length", "repeated_r_grid", "delta_above_1", "no_database",
+            "unknown_field"])
     def test_malformed_experiment_config_exits_2(self, tmp_path, capsys, config, why):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
@@ -615,6 +652,44 @@ class TestExperimentCommands:
         cfg = self._write_cfg(tmp_path, dnc={"block_size": 8, "schedule": None})
         assert run("experiment", "error-vs-reads", "--config", str(cfg),
                    "--out-dir", str(tmp_path / "out")) == 0
+
+    def test_config_output_dir_used_without_flag(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = self._write_cfg(tmp_path, l_range=[2, 4], output_dir="cfgout")
+        assert run("experiment", "ident-scan", "--config", str(cfg)) == 0
+        assert (tmp_path / "cfgout" / "scan.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_trials_exit_3_and_are_recorded(self, tmp_path, monkeypatch, capsys):
+        # every trial at R = 2000 fails in its solve; those at 10000 do not
+        drawn = []
+        real_simulate, real_dnc = experiments.simulate_reads, experiments.divide_and_conquer
+
+        def simulate(A, x, n_reads, seed):
+            drawn.append(n_reads)
+            return real_simulate(A, x, n_reads, seed)
+
+        def dnc(A, y, params):
+            if drawn[-1] == 2000:
+                raise RuntimeError("solver failed")
+            return real_dnc(A, y, params)
+        monkeypatch.setattr(experiments, "simulate_reads", simulate)
+        monkeypatch.setattr(experiments, "divide_and_conquer", dnc)
+        out = tmp_path / "out"
+        assert run("experiment", "error-vs-reads", "--config", str(self._write_cfg(tmp_path)),
+                   "--out-dir", str(out)) == 3
+        assert "3 trials failed; summary still written" in capsys.readouterr().err
+        with open(out / "trials.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        metrics = experiments.TRIAL_FIELDS[5:]
+        assert [(r["n_reads"], r["failed"]) for r in rows] == \
+            [("2000", "1")] * 3 + [("10000", "0")] * 3
+        assert all(r[m] == "" for r in rows[:3] for m in metrics)
+        assert all(r[m] != "" for r in rows[3:] for m in metrics)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_failed"] == 3
+        assert [(s["trials_ok"], s["l2_mean"] == "") for s in summary["summary"]] == \
+            [(0, True), (3, False)]
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

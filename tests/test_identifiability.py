@@ -488,6 +488,15 @@ class TestCriticalReadLengthScan:
         assert found >= 30
         assert find_substring_pairs(db_of("ACGT", "TGCA", "AACC")) == []
 
+    def test_substring_scan_skipped_above_cap(self, monkeypatch, caplog):
+        db = db_of("AC", "ACGT", "GGA")
+        monkeypatch.setattr(identifiability, "SUBSTRING_CAP", 2)
+        with caplog.at_level("INFO", logger="readprofiler.identifiability"):
+            assert find_substring_pairs(db) == []
+        assert "substring check skipped for N=3 > 2" in caplog.text
+        monkeypatch.setattr(identifiability, "SUBSTRING_CAP", 3)
+        assert find_substring_pairs(db) == [(1, 2)]
+
 
 def reference_scan_artifacts(cfg):
     """The loop run_identifiability_scan ran before it called

@@ -106,6 +106,12 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             build_matrix(SequenceDatabase([]), 2)
 
+    def test_rejects_non_acgt_base_naming_species(self):
+        # parse_fasta refuses such records first; library callers reach this check
+        with pytest.raises(ValueError, match=re.escape(
+                "species 2 ('seq_2'): invalid character 'N' (expected one of ACGT)")):
+            build_matrix(SequenceDatabase.from_sequences(["ACGT", "ACNT"]), 2)
+
     def test_rejects_huge_tail_expansion(self):
         with pytest.raises(ValueError):
             build_matrix(db_of("AC"), 20)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from test_nnls import assert_matches_reference
 
+from readprofiler import reconstruct
 from readprofiler.experiments import generate_random_db
 from readprofiler.mixture_sim import empirical_frequencies, sample_power_law_mixture, \
     simulate_reads
@@ -144,6 +147,31 @@ class TestDivideAndConquer:
         report = divide_and_conquer(A, np.zeros(A.n_rows), DncParams(block_size=2))
         assert report.empty
         assert len(report.support) == 0
+
+    def test_all_zero_final_solve_gives_empty_report_with_diagnostics(self, caplog):
+        # the first two columns are identical, so the screen keeps them and
+        # the final solve runs, on y = 0, to an all-zero vector
+        A = build_matrix(db_of("AAAA", "AAAAA", "CGTAC", "GTTCA"), 2)
+        report = divide_and_conquer(A, np.zeros(A.n_rows), DncParams(block_size=4, k_final=4))
+        assert "final solve returned an all-zero vector" in caplog.text
+        assert report.empty and len(report.support) == 0
+        assert report.final_solver is not None and report.final_solver["converged"]
+        assert report.iterations[-1].survivor_count == 2
+
+    def test_unconverged_block_warned_and_counted(self, monkeypatch, caplog):
+        real = reconstruct.nnls_from_gram
+
+        def unconverged(G, b, **kw):
+            return dataclasses.replace(real(G, b, **kw), converged=False, kkt_residual=0.5)
+        monkeypatch.setattr(reconstruct, "nnls_from_gram", unconverged)
+        A = build_matrix(db_of("ACGTAC", "GGTTCA", "TTTACG", "CACAGT"), 3)
+        y = A.matrix[:, 0].toarray().ravel()
+        report = divide_and_conquer(A, y, DncParams(block_size=2, k_final=1))
+        assert "block solve did not converge (kkt=5.00e-01); passing survivors through" \
+            in caplog.text
+        assert [it.unconverged_blocks for it in report.iterations] == \
+            [it.blocks_solved for it in report.iterations] == [2, 1]
+        assert report.support.tolist() == [1]
 
     def test_normalized_output(self):
         db = generate_random_db(30, 50, seed=50)

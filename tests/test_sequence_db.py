@@ -737,3 +737,8 @@ class TestRandomDatabase:
             db = generate_random_db(n, length, seed)
             assert [r.sequence for r in db.records] == self.per_row_join(n, length, seed)
             assert db.labels == [f"rand_{i + 1:06d}" for i in range(n)]
+
+    def test_more_sequences_than_strings_refused(self):
+        # 4 strings of length 1 exist, so 5 distinct ones cannot be drawn
+        with pytest.raises(ValueError, match="cannot draw 5 distinct sequences of length 1"):
+            generate_random_db(5, 1, 0)
