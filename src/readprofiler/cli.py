@@ -59,9 +59,9 @@ def cmd_simulate(args) -> int:
         mixture = sample_power_law_mixture(A.n_species, args.k, args.alpha, args.seed)
     x = mixture.full_vector(A.n_species)
     rc = simulate_reads(A, x, args.reads, args.seed)
+    rc.save(args.out)
     if args.truth_out and not args.truth:   # after the reads: a refused run writes none
         mixture.save(args.truth_out)
-    rc.save(args.out)
     print(f"simulated {rc.total} reads, {rc.n_distinct} distinct")
     return 0
 

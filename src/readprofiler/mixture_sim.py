@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sequence_db
 from .read_matrix import FrequencyVector, ReadSamplingMatrix, reweight_to_dna
 from .sequence_db import (
     ALPHABET,
@@ -226,46 +227,72 @@ def _read_lines(data: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]
     split at the separators only ``str`` knows, stripped and upper-cased, and
     appended to the buffer one byte per character ('?' where a character has
     no single byte).
+
+    ``data`` is scanned one block of about ``sequence_db._SCAN_BLOCK`` bytes
+    at a time, each cut just after a '\\n', so that no '\\r\\n' pair or
+    multi-byte character spans two blocks; only the line table grows with
+    the file.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
-    low = np.flatnonzero(raw <= 32)     # every break and every ASCII space
-    kind = raw[low]
-    breaks = low[_IS_BREAK[kind]]
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.append(breaks, len(data))
-    if (kind == 13).any():
-        # universal newlines: '\r\n' is one break, so drop the empty line between
-        crlf = (raw[breaks[:-1]] == 13) & (np.diff(breaks) == 1) & (raw[breaks[1:]] == 10)
-        keep = np.ones(len(starts), dtype=bool)
-        keep[1:-1] = ~crlf
-        starts, ends = starts[keep], ends[keep]
-    # lines that need str: whitespace at an end, or a non-ASCII byte
-    rare = np.zeros(len(starts), dtype=bool)
-    blank = low[_IS_BLANK[kind]]
-    line = np.searchsorted(ends, blank, side="right")
-    rare[line[(blank == starts[line]) | (blank == ends[line] - 1)]] = True
-    if not data.isascii():
-        rare[np.searchsorted(ends, np.flatnonzero(raw >= 128), side="right")] = True
-    lengths = ends - starts
-    if rare.any():
-        joined = b"\n".join(data[s:e] for s, e in zip(starts[rare], ends[rare]))
-        pieces = [(text + "\n").splitlines()
-                  for text in io.TextIOWrapper(io.BytesIO(joined)).read().split("\n")]
-        per_line = np.ones(len(starts), dtype=np.int64)
-        per_line[rare] = [len(piece) for piece in pieces]
-        starts, ends, lengths = (np.repeat(a, per_line) for a in (starts, ends, lengths))
-        stripped = [line.strip() for piece in pieces for line in piece]
-        content = [line.upper().encode("latin-1", "replace") for line in stripped]
-        size = np.array([len(c) for c in content], dtype=np.int64)
-        slots = np.flatnonzero(np.repeat(rare, per_line))
-        ends[slots] = len(data) + np.cumsum(size)
-        starts[slots] = ends[slots] - size
-        lengths[slots] = [len(line) for line in stripped]
-        data += b"".join(content)
-    # rstrip(): trailing blank lines go
+    tables, content = [], []
+    size = len(data)            # where the next decoded line goes in the buffer
+    lo = rare_at = 0
+    while True:
+        at = lo + sequence_db._SCAN_BLOCK
+        hi = data.rfind(b"\n", lo, at) + 1 or data.find(b"\n", at) + 1 or len(data)
+        low = np.flatnonzero(raw[lo:hi] <= 32) + lo     # every break and every ASCII space
+        kind = raw[low]
+        breaks = low[_IS_BREAK[kind]]
+        starts = np.concatenate([[lo], breaks + 1])
+        ends = np.append(breaks, hi)
+        if (kind == 13).any():
+            # universal newlines: '\r\n' is one break, so drop the empty line between
+            crlf = (raw[breaks[:-1]] == 13) & (np.diff(breaks) == 1) & (raw[breaks[1:]] == 10)
+            keep = np.ones(len(starts), dtype=bool)
+            keep[1:-1] = ~crlf
+            starts, ends = starts[keep], ends[keep]
+        # lines that need str: whitespace at an end, or a non-ASCII byte
+        rare = np.zeros(len(starts), dtype=bool)
+        blank = low[_IS_BLANK[kind]]
+        line = np.searchsorted(ends, blank, side="right")
+        rare[line[(blank == starts[line]) | (blank == ends[line] - 1)]] = True
+        if not data[lo:hi].isascii():
+            rare[np.searchsorted(ends, np.flatnonzero(raw[lo:hi] >= 128) + lo,
+                                 side="right")] = True
+        lengths = ends - starts
+        if rare.any():
+            joined = b"\n".join(data[s:e] for s, e in zip(starts[rare], ends[rare]))
+            try:
+                text = io.TextIOWrapper(io.BytesIO(joined)).read()
+            except UnicodeDecodeError as exc:   # placed as if all rare lines were decoded at once
+                raise UnicodeDecodeError(exc.encoding, bytes(rare_at) + joined,
+                                         rare_at + exc.start, rare_at + exc.end,
+                                         exc.reason) from None
+            rare_at += len(joined) + 1
+            pieces = [(part + "\n").splitlines() for part in text.split("\n")]
+            per_line = np.ones(len(starts), dtype=np.int64)
+            per_line[rare] = [len(piece) for piece in pieces]
+            starts, ends, lengths = (np.repeat(a, per_line) for a in (starts, ends, lengths))
+            stripped = [line.strip() for piece in pieces for line in piece]
+            decoded = [line.upper().encode("latin-1", "replace") for line in stripped]
+            sizes = np.array([len(c) for c in decoded], dtype=np.int64)
+            slots = np.flatnonzero(np.repeat(rare, per_line))
+            ends[slots] = size + np.cumsum(sizes)
+            starts[slots] = ends[slots] - sizes
+            lengths[slots] = [len(line) for line in stripped]
+            content += decoded
+            size += int(sizes.sum())
+        # the empty line after the block's last '\n' is the next block's first
+        n_lines = len(starts) - (data[hi - 1:hi] == b"\n")
+        tables.append((starts[:n_lines], ends[:n_lines], lengths[:n_lines]))
+        if hi == len(data):
+            break
+        lo = hi
+    starts, ends, lengths = (np.concatenate(column) for column in zip(*tables))
+    # rstrip(): trailing blank lines go, even those of earlier blocks
     filled = np.flatnonzero(ends > starts)
     n_lines = filled[-1] + 1 if len(filled) else 0
-    return data, starts[:n_lines], ends[:n_lines], lengths[:n_lines]
+    return data + b"".join(content), starts[:n_lines], ends[:n_lines], lengths[:n_lines]
 
 
 def _fastq_sequence_lines(buf: bytes, starts: np.ndarray, ends: np.ndarray,
@@ -306,10 +333,14 @@ def read_counts_from_reads(path, read_length: int) -> ReadCounts:
     """Encode raw reads (plain one-per-line or FASTQ, optionally gzipped) by
     their first L bases.
 
-    The file is read as bytes and parsed in whole-file numpy passes; lines
-    and reads are those of ``read_text().rstrip().splitlines()`` with each
-    line stripped and upper-cased, and a file is FASTQ when its first line
-    starts with '@'. Blank lines of a plain file are ignored. Reads shorter
+    The file is read as bytes. Its line table is built one block of about
+    ``sequence_db._SCAN_BLOCK`` bytes at a time (see :func:`_read_lines`),
+    the FASTQ records are checked in one pass over that table, and the keys
+    are encoded one block of reads at a time; only the file's bytes, the
+    line table and the keys grow with the file. Lines and reads are those
+    of ``read_text().rstrip().splitlines()`` with each line stripped and
+    upper-cased, and a file is FASTQ when its first line starts with '@'.
+    Blank lines of a plain file are ignored. Reads shorter
     than L are skipped and counted in ``skipped_short``; reads whose first L
     bases hold a character outside ACGT (such as N) are skipped and counted
     in ``skipped_invalid``. A malformed FASTQ record raises ValueError.
@@ -323,14 +354,21 @@ def read_counts_from_reads(path, read_length: int) -> ReadCounts:
         seq = np.flatnonzero(ends > starts)
     at = starts[seq][ends[seq] - starts[seq] >= read_length]
     short = len(seq) - len(at)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.frombuffer(buf, dtype=np.uint8), read_length)[at] if len(at) else b""
-    digits = np.frombuffer(bytes(windows).translate(_READ_DIGITS), dtype=np.uint8)
-    valid = digits.reshape(len(at), read_length).max(axis=1) <= 3
-    invalid = len(at) - int(valid.sum())
-    # masked, so that an invalid base cannot spill into a valid read's key
-    keys = kmer_keys(digits & 3, read_length, np.flatnonzero(valid) * read_length)
-    index, rows = KmerIndex.first_seen(keys)
+    # the keys of the valid reads, one block of reads at a time
+    keys = np.empty((len(at), key_words(read_length)), dtype=np.uint64)
+    n_valid = 0
+    step = max(1, sequence_db._SCAN_BLOCK // read_length)
+    for lo in range(0, len(at), step):
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.frombuffer(buf, dtype=np.uint8), read_length)[at[lo:lo + step]]
+        digits = np.frombuffer(bytes(windows).translate(_READ_DIGITS), dtype=np.uint8)
+        valid = np.flatnonzero(digits.reshape(len(windows), read_length).max(axis=1) <= 3)
+        # masked, so that an invalid base cannot spill into a valid read's key
+        keys[n_valid:n_valid + len(valid)] = kmer_keys(digits & 3, read_length,
+                                                       valid * read_length)
+        n_valid += len(valid)
+    invalid = len(at) - n_valid
+    index, rows = KmerIndex.first_seen(keys[:n_valid])
     if short:
         logger.warning("skipped %d reads shorter than %d", short, read_length)
     if invalid:

@@ -35,7 +35,7 @@ _E8 = 10 ** 8
 #: rows per chunk of the decimal code conversions, which keep their work
 #: arrays to a few MB whatever the number of rows
 _DECIMAL_CHUNK = 1 << 13
-#: bytes per block of the line-end scan of a decimal code blob
+#: bytes per block of the line-end scans of a decimal code blob and a raw read file
 _SCAN_BLOCK = 1 << 20
 #: positions, starts or keys per block of the k-mer code, key gather and
 #: fingerprint passes, whose work arrays then stay in cache

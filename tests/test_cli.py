@@ -380,6 +380,15 @@ class TestErrorHandling:
         assert "Traceback" not in capsys.readouterr().err
         assert not truth.exists() and not reads.exists()
 
+    def test_simulate_refused_out_writes_no_truth(self, pipeline_dir, tmp_path, capsys):
+        truth, out = tmp_path / "t.json", tmp_path / "outdir"
+        out.mkdir()
+        assert run("simulate", "--matrix", str(pipeline_dir / "matrix.bin"), "--reads", "100",
+                   "--k", "2", "--truth-out", str(truth), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"Is a directory: '{out}'" in err and "Traceback" not in err
+        assert not truth.exists() and not any(out.iterdir())
+
     def test_bad_random_db_args(self, tmp_path):
         assert run("random-db", "--n", "0", "--length", "10",
                    "--out", str(tmp_path / "db.fasta")) == 2

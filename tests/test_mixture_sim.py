@@ -1,6 +1,7 @@
 import gzip
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.stats
 
+from readprofiler import sequence_db
 from readprofiler.experiments import generate_random_db
 from readprofiler.mixture_sim import (
     MixtureSpec,
@@ -685,6 +687,8 @@ class TestByteParserOracle:
         "@r0\nACß\n+\nIIII\n",                        # 3 characters, 4 after upper()
         "ACGT\x85ACGT\u2029\x0bAC\x1c\x1d\x1eGTA\n",
         " @r0\nACGT\n+\nIIII\n",                      # plain: '@' is not the first byte
+        "@r0\nACGT\n+\nIIII\n \n\t\r\n\n\x0c \n\n\n",     # trailing blank lines
+        "ACGT\nAC\n\n  \n\r\n\t\n\xa0\n\n",
     ])
     def test_line_shapes_match_str_parser(self, tmp_path, text):
         path = tmp_path / "reads"
@@ -704,3 +708,53 @@ class TestByteParserOracle:
         path.write_bytes(b"ACGTAC\nAC\xffGT\n")
         with pytest.raises(UnicodeDecodeError):
             read_counts_from_reads(path, 3)
+
+
+class TestByteParserBlocks(TestByteParserOracle):
+    """The oracle cases again, with the file scanned in blocks of a few
+    bytes: block cuts fall at every offset of a line, and a file's trailing
+    blank lines span several blocks."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3, 7, 64])
+    def scan_block(self, request, monkeypatch):
+        monkeypatch.setattr(sequence_db, "_SCAN_BLOCK", request.param)
+
+    @pytest.mark.parametrize("fastq", [False, True])
+    def test_gzipped_copy_matches_str_parser(self, tmp_path, fastq):
+        rng = np.random.default_rng([7, fastq])
+        path, gz = tmp_path / "reads", tmp_path / "reads.gz"
+        for _ in range(10):
+            text = self.random_file(rng, 5, fastq, not fastq).encode()
+            path.write_bytes(text)
+            gz.write_bytes(gzip.compress(text))
+            want = outcome(reference_read_counts_from_reads, path, 5)
+            if not isinstance(want[0], list):               # the error names the .gz file
+                want = want[0], want[1].replace(f"{path}:", f"{gz}:")
+            assert outcome(parsed, gz, 5) == want
+
+    def test_invalid_utf8_position_counts_earlier_blocks(self, tmp_path):
+        # the position is within all the file's rare lines, as one block gives it
+        path = tmp_path / "reads.txt"
+        path.write_bytes(b"ACGT \nACGTACGT\n ACG\xc3\x9f\nACGTAC\nAC\xffGT\nACGT\n")
+        with pytest.raises(UnicodeDecodeError, match="byte 0xff in position 15:"):
+            read_counts_from_reads(path, 3)
+
+
+def test_raw_read_counting_peak_below_2_5x_file(tmp_path):
+    """40k FASTQ reads of 150 bp: the traced peak of counting them stays
+    below 2.5x the file, so the per-read temporaries do not all live at
+    once."""
+    rng = np.random.default_rng(0)
+    bases = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, (40_000, 150))]
+    seqs = [bytes(row) for row in bases]
+    path = tmp_path / "reads.fastq"
+    path.write_bytes(b"".join(b"@r%d\n%s\n+\n%s\n" % (i, s, b"I" * 150)
+                              for i, s in enumerate(seqs)))
+    tracemalloc.start()
+    try:
+        rc = read_counts_from_reads(path, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc.total == 40_000
+    assert peak < 2.5 * path.stat().st_size
