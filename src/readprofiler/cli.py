@@ -16,8 +16,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import metrics
-from .experiments import ExperimentConfig, generate_random_db, run_error_vs_reads, \
-    run_identifiability_scan
+from .experiments import ExperimentConfig, OutputError, generate_random_db, \
+    run_error_vs_reads, run_identifiability_scan
 from .identifiability import analyze, critical_read_length_scan
 from .mixture_sim import MixtureSpec, ReadCounts, empirical_frequencies, \
     read_counts_from_reads, sample_power_law_mixture, simulate_reads
@@ -230,8 +230,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:    # a refusal; a missing file is an OSError
-        prefix = "invalid config" if args.command == "experiment" else "error"
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        # an experiment refuses its config, unless its outputs cannot be written
+        config = args.command == "experiment" and not isinstance(exc, OutputError)
+        print(f"{'invalid config' if config else 'error'}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -40,6 +40,11 @@ DNC_FIELDS = {"block_size": int, "tau": float, "k_final": int, "seed": int,
               "kkt_tol": float, "max_iterations": int}
 
 
+class OutputError(OSError):
+    """The output directory, or a file in it, could not be written: a fault
+    of the destination, not of the config."""
+
+
 def generate_random_db(n: int, length: int, seed: int) -> SequenceDatabase:
     """N distinct sequences of i.i.d. uniform bases; collisions resampled."""
     if n < 1 or length < 1:
@@ -195,18 +200,22 @@ def _run_trial(job: tuple[int, int, int]) -> dict:
 def _write_artifacts(cfg: ExperimentConfig, tables: dict, summary_name: str, **fields):
     """Make the output directory, write each CSV table ``name: (rows, columns)``
     headed by its columns or else its first row's keys, then the JSON summary:
-    the config, its hash and ``fields``."""
+    the config, its hash and ``fields``. :class:`OutputError` if any of
+    that fails."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (rows, columns) in tables.items():
-        with open(out / name, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns or list(rows[0]),
-                                    extrasaction="ignore")
-            writer.writeheader()
-            writer.writerows(rows)
-    (out / summary_name).write_text(json.dumps(
-        {"config": cfg.to_dict(), "config_hash": cfg.config_hash(), **fields},
-        indent=2) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (rows, columns) in tables.items():
+            with open(out / name, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=columns or list(rows[0]),
+                                        extrasaction="ignore")
+                writer.writeheader()
+                writer.writerows(rows)
+        (out / summary_name).write_text(json.dumps(
+            {"config": cfg.to_dict(), "config_hash": cfg.config_hash(), **fields},
+            indent=2) + "\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write the outputs to {cfg.output_dir}: {exc}") from None
 
 
 def run_error_vs_reads(cfg: ExperimentConfig):

@@ -7,7 +7,6 @@ the read-sampling matrix. All randomness flows through a seeded generator.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from .sequence_db import (
     check_read_length,
     key_words,
     kmer_keys,
+    locale_encoding,
     read_bytes,
     read_json,
     require_fields,
@@ -65,8 +65,8 @@ class MixtureSpec:
         FrequencyVector(self.frequencies, normalized=True)
 
     def full_vector(self, n_species: int) -> FrequencyVector:
-        if np.any(self.support < 1) or np.any(self.support > n_species):
-            raise ValueError("support ids outside 1..N")
+        if np.any(outside := (self.support < 1) | (self.support > n_species)):
+            raise ValueError(f"support id {self.support[outside][0]} outside 1..{n_species}")
         x = np.zeros(n_species)
         x[self.support - 1] = self.frequencies
         return FrequencyVector(x, "species", normalized=True)
@@ -223,24 +223,26 @@ def _read_lines(data: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]
     line's length in characters.
 
     A line is a slice of ``data`` unless it holds a non-ASCII byte or has
-    whitespace at an end. Such a line is decoded as ``read_text`` decodes,
-    split at the separators only ``str`` knows, stripped and upper-cased, and
-    appended to the buffer one byte per character ('?' where a character has
-    no single byte).
+    whitespace at an end. Such a line is decoded on its own as ``read_text``
+    decodes (a bad byte fails at its offset in ``data``), split at the
+    separators only ``str`` knows, stripped and upper-cased, and appended to
+    the buffer one byte per character ('?' where a character has no single byte).
 
     ``data`` is scanned one block of about ``sequence_db._SCAN_BLOCK`` bytes
-    at a time, each cut just after a '\\n', so that no '\\r\\n' pair or
-    multi-byte character spans two blocks; only the line table grows with
-    the file.
+    at a time, each cut just after a '\\n', so that no '\\r\\n' pair or line
+    spans two blocks and no block depends on another; only the line table
+    grows with the file.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
+    encoding = locale_encoding()
     tables, content = [], []
     size = len(data)            # where the next decoded line goes in the buffer
-    lo = rare_at = 0
+    lo = 0
     while True:
         at = lo + sequence_db._SCAN_BLOCK
         hi = data.rfind(b"\n", lo, at) + 1 or data.find(b"\n", at) + 1 or len(data)
-        low = np.flatnonzero(raw[lo:hi] <= 32) + lo     # every break and every ASCII space
+        # every break, every ASCII space and every non-ASCII byte (negative as int8)
+        low = np.flatnonzero(raw[lo:hi].view(np.int8) <= 32) + lo
         kind = raw[low]
         breaks = low[_IS_BREAK[kind]]
         starts = np.concatenate([[lo], breaks + 1])
@@ -256,20 +258,16 @@ def _read_lines(data: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]
         blank = low[_IS_BLANK[kind]]
         line = np.searchsorted(ends, blank, side="right")
         rare[line[(blank == starts[line]) | (blank == ends[line] - 1)]] = True
-        if not data[lo:hi].isascii():
-            rare[np.searchsorted(ends, np.flatnonzero(raw[lo:hi] >= 128) + lo,
-                                 side="right")] = True
+        rare[np.searchsorted(ends, low[kind >= 128], side="right")] = True
         lengths = ends - starts
         if rare.any():
-            joined = b"\n".join(data[s:e] for s, e in zip(starts[rare], ends[rare]))
-            try:
-                text = io.TextIOWrapper(io.BytesIO(joined)).read()
-            except UnicodeDecodeError as exc:   # placed as if all rare lines were decoded at once
-                raise UnicodeDecodeError(exc.encoding, bytes(rare_at) + joined,
-                                         rare_at + exc.start, rare_at + exc.end,
-                                         exc.reason) from None
-            rare_at += len(joined) + 1
-            pieces = [(part + "\n").splitlines() for part in text.split("\n")]
+            pieces = []
+            for s, e in zip(starts[rare].tolist(), ends[rare].tolist()):
+                try:    # with its break, which ends a cut-off character as in the file
+                    pieces.append(data[s:e + 1].decode(encoding).splitlines())
+                except UnicodeDecodeError as exc:   # at its offset in the file
+                    raise UnicodeDecodeError(exc.encoding, data, s + exc.start, s + exc.end,
+                                             exc.reason) from None
             per_line = np.ones(len(starts), dtype=np.int64)
             per_line[rare] = [len(piece) for piece in pieces]
             starts, ends, lengths = (np.repeat(a, per_line) for a in (starts, ends, lengths))

@@ -567,6 +567,11 @@ def read_bytes(path) -> bytes:
         raise ValueError(f"{path}: damaged gzip data: {exc}") from None
 
 
+def locale_encoding() -> str:
+    """The encoding that ``open()`` and ``Path.read_text()`` decode with."""
+    return io.TextIOWrapper(io.BytesIO()).encoding
+
+
 def read_json(path, **types) -> dict:
     """The JSON object in the file at ``path``, checked by :func:`require_fields`
     against ``types``; ValueError naming the file for text that is not JSON."""
@@ -634,8 +639,12 @@ def parse_fasta(path, drop_ambiguous: bool = False) -> SequenceDatabase:
         else:
             raise AmbiguousBaseError(f"{path}: record {label!r} contains {bad.group()!r}")
 
+    data = read_bytes(path)
+    # a bad byte fails here at its offset in the file, not in the wrapper's 8 KB chunk
+    if not data.isascii():
+        data.decode(locale_encoding())
     label, chunks = None, []
-    for line in io.TextIOWrapper(io.BytesIO(read_bytes(path))):
+    for line in io.TextIOWrapper(io.BytesIO(data)):
         line = line.strip()         # a blank line adds "" to a record, or nothing
         if line.startswith(">"):
             if label is not None:

@@ -326,7 +326,8 @@ class TestPipelineCommands:
         ([float("nan"), 0.5], "frequency vector must be finite"),
         ([-0.5, 1.5], "frequency vector must be nonnegative"),
         ([0.5, 0.6], "vector flagged normalized but sums to 1.1"),
-    ], ids=["nan", "negative", "sum_1_1"])
+        ([1.0], "support and frequencies differ in length"),
+    ], ids=["nan", "negative", "sum_1_1", "short"])
     def test_bad_truth_frequencies_exit_2_naming_file(self, pipeline_dir, tmp_path, capsys,
                                                       frequencies, why):
         truth, out = tmp_path / "bad_truth.json", tmp_path / "bad_reads.tsv"
@@ -335,6 +336,30 @@ class TestPipelineCommands:
                    "--truth", str(truth), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert f"error: {truth}: {why}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    @pytest.mark.parametrize("support,why", [
+        ([1, 1], "{truth}: support ids must be distinct"),
+        ([2, 31], "support id 31 outside 1..30"),
+    ], ids=["repeated", "above_n"])
+    def test_bad_truth_support_exits_2(self, pipeline_dir, tmp_path, capsys, command,
+                                       support, why):
+        # the matrix has 30 species
+        truth, out = tmp_path / "bad_truth.json", tmp_path / "out"
+        truth.write_text(json.dumps({"support": support, "frequencies": [0.5, 0.5]}))
+        matrix = str(pipeline_dir / "matrix.bin")
+        argv = {"simulate": ("--reads", "100"),
+                "evaluate": ("--estimate", str(pipeline_dir / "est.json"),
+                             "--reads-count", "100", "--skip-lambda")}[command]
+        if command == "evaluate":
+            assert run("reconstruct", "--matrix", matrix, "--reads",
+                       str(pipeline_dir / "reads.tsv"), "--out", argv[1]) == 0
+        capsys.readouterr()
+        assert run(command, "--matrix", matrix, "--truth", str(truth), *argv,
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {why.format(truth=truth)}\n" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_identifiability_refuses_at_l_before_the_scan(self, pipeline_dir, monkeypatch):
@@ -372,6 +397,23 @@ class TestErrorHandling:
         assert f"{prefix}: [Errno 21] Is a directory: '{directory}'" in err
         assert "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("which", ["ident-scan", "error-vs-reads"])
+    @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"], ids=["file", "under_file"])
+    def test_output_path_fault_is_not_a_config_fault(self, tmp_path, capsys, which,
+                                                     out_dir):
+        cfg, afile = tmp_path / "cfg.json", tmp_path / "afile"
+        cfg.write_text(json.dumps({"random_db": {"n": 5, "length": 20}, "k": 2,
+                                   "read_length": 10, "r_grid": [100], "trials": 1,
+                                   "l_range": [2, 3]}))
+        afile.write_text("kept\n")
+        assert run("experiment", which, "--config", str(cfg),
+                   "--out-dir", str(tmp_path / out_dir)) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write the outputs to {tmp_path / out_dir}: " in err
+        assert "invalid config" not in err and "Traceback" not in err
+        assert afile.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
 
     def test_refused_simulate_writes_nothing(self, pipeline_dir, tmp_path, capsys):
         truth, reads = tmp_path / "t.json", tmp_path / "r.tsv"
@@ -471,6 +513,8 @@ class TestErrorHandling:
          "dnc: field 'tau' must be float, got NoneType"),
         ({"random_db": {"n": 5, "length": 20}, "dnc": {"schedule": [1, 2.5]}},
          "dnc: field 'schedule' must hold int values, got float"),
+        ({"random_db": {"n": 5, "length": 20}, "dnc": {"schedule": [0]}},
+         "schedule repetitions must be >= 1"),
         ({"random_db": {"n": 5, "length": 20}, "l_range": [2]},
          "config: field 'l_range' must hold 2 ints, got 1"),
         ({"random_db": {"n": 5, "length": 20}, "l_range": [2, "9"]},
@@ -494,7 +538,7 @@ class TestErrorHandling:
     ], ids=["no_n", "no_length", "string_length", "list_random_db", "list", "not_json",
             "string_read_length", "string_db_seed", "float_k", "string_alpha", "int_db_fasta",
             "string_r_grid", "int_r_grid", "list_dnc", "string_block_size", "null_tau",
-            "float_schedule", "short_l_range", "string_l_range", "int_l_range",
+            "float_schedule", "zero_schedule", "short_l_range", "string_l_range", "int_l_range",
             "string_workers", "zero_workers", "negative_workers", "zero_read_length",
             "long_read_length", "repeated_r_grid", "delta_above_1", "no_database",
             "unknown_field"])

@@ -709,6 +709,36 @@ class TestByteParserOracle:
         with pytest.raises(UnicodeDecodeError):
             read_counts_from_reads(path, 3)
 
+    # each file holds a rare line, a '\r\n' and whitespace at a line end
+    # before the lines a bad byte goes to
+    BAD_BYTE_FILES = {
+        "plain": (["ACGT ", "AC\u00dfGT", "ACGT\r", "ACGTACGT", " ", "ACGTAC"],
+                  {"read": 3, "blank": 4, "last": 5}),
+        "fastq": (["@r0 ", "AC\u00dfGT", "+\r", "IIIII", "@r1 x", "ACGTACGT", "+", "IIIIIIII",
+                   " ", "@r2", "ACGT", "+", "IIII"],
+                  {"header": 4, "read": 5, "quality": 7, "blank": 8, "last": 12}),
+    }
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3"], ids=["invalid", "cut_off"])
+    @pytest.mark.parametrize("form,where", [
+        (form, where) for form in ("plain", "fastq", "gz")
+        for where in ("header", "read", "quality", "blank", "last")
+        if form != "plain" or where in ("read", "blank", "last")])
+    def test_bad_byte_raises_as_str_parser(self, tmp_path, form, where, bad):
+        # a cut-off character ends at a line break, or at the end of the file
+        lines, places = self.BAD_BYTE_FILES["plain" if form == "plain" else "fastq"]
+        lines = [line.encode() for line in lines]
+        lines[places[where]] += bad
+        text = b"\n".join(lines) + b"\n" * (where != "last")
+        path = tmp_path / "reads"
+        path.write_bytes(text)
+        want = outcome(reference_read_counts_from_reads, path, 3)
+        assert want[0] is UnicodeDecodeError
+        if form == "gz":
+            path = tmp_path / "reads.gz"
+            path.write_bytes(gzip.compress(text))
+        assert outcome(parsed, path, 3) == want
+
 
 class TestByteParserBlocks(TestByteParserOracle):
     """The oracle cases again, with the file scanned in blocks of a few
@@ -733,10 +763,10 @@ class TestByteParserBlocks(TestByteParserOracle):
             assert outcome(parsed, gz, 5) == want
 
     def test_invalid_utf8_position_counts_earlier_blocks(self, tmp_path):
-        # the position is within all the file's rare lines, as one block gives it
+        # the position is the byte's offset in the file, as read_text gives it
         path = tmp_path / "reads.txt"
         path.write_bytes(b"ACGT \nACGTACGT\n ACG\xc3\x9f\nACGTAC\nAC\xffGT\nACGT\n")
-        with pytest.raises(UnicodeDecodeError, match="byte 0xff in position 15:"):
+        with pytest.raises(UnicodeDecodeError, match="byte 0xff in position 31:"):
             read_counts_from_reads(path, 3)
 
 

@@ -233,6 +233,7 @@ class TestSerialization:
                        "increasing"),
         "col_range": ("cols", -1, lambda f: f["header"]["n_species"], "increasing"),
         "col_length": ("lengths", 0, lambda f: 0, "column length"),
+        "zero_nnz": ("header", "nnz", lambda f: 0, "n_rows, n_species and nnz must be positive"),
     }
 
     @pytest.mark.parametrize("case", BROKEN_FILES)
@@ -253,7 +254,7 @@ class TestSerialization:
         codes = b"\n".join(fields["codes"])
         header.setdefault("codes_bytes", len(codes))
         edited = numbers.tobytes() + codes
-        assert edited != payload or case == "codes_bytes"
+        assert edited != payload or field == "header"
         header["checksum"] = hashlib.sha256(edited).hexdigest()
         broken = tmp_path / "broken.rsm"
         broken.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + edited)

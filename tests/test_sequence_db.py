@@ -306,6 +306,17 @@ class TestParseFasta:
         assert [r.sequence for r in db2] == [r.sequence for r in db]
         assert db2.checksum() == db.checksum()
 
+    def test_bad_byte_reported_at_its_offset_in_the_file(self, tmp_path):
+        # past the 8 KB chunks a text wrapper decodes in
+        path = tmp_path / "db.fasta"
+        path.write_bytes(b">a\n" + b"ACGT" * 5001 + b"AC\xffGT\n")
+        with pytest.raises(UnicodeDecodeError) as want:
+            path.read_text()
+        with pytest.raises(UnicodeDecodeError) as got:
+            parse_fasta(path)
+        assert str(got.value) == str(want.value)
+        assert "byte 0xff in position 20009:" in str(got.value)
+
     def test_gzip_input(self, tmp_path):
         import gzip
 
